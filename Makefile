@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-codec bench-smoke chaos fuzz fuzz-ci race ci check docs-check api-check api-snapshot smoke-daemon
+.PHONY: all build test vet bench bench-codec bench-smoke bench-selftest chaos fuzz fuzz-ci race ci check docs-check api-check api-snapshot smoke-daemon
 
 all: check
 
@@ -31,9 +31,9 @@ race:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/core/ ./internal/disk/ ./internal/cache/
 
 # check is the default gate: tier-1 plus race, the chaos suite, a short
-# fuzz budget, the documentation and API gates, the perf smoke pass and the
-# daemon smoke test.
-check: ci race chaos fuzz-ci docs-check api-check bench-smoke smoke-daemon
+# fuzz budget, the documentation and API gates, the perf smoke pass, the
+# benchmark's self-test and the daemon smoke test.
+check: ci race chaos fuzz-ci docs-check api-check bench-smoke bench-selftest smoke-daemon
 
 # smoke-daemon builds the real graphhd binary, serves a generated dataset on
 # a loopback port, submits PageRank through the typed Go client, asserts the
@@ -61,14 +61,23 @@ chaos:
 # sweep (prefetch off vs on at a 25% cache budget), the two-job
 # multi-tenant session vs back-to-back (checks bit-identity and that the
 # shared sweep beats serial), plus the allocation guards on the pipelined
-# send, receive and prefetch-hit paths.
+# send, receive and prefetch-hit paths, the pooled zlib codecs, the
+# declined cache admission and the share window.
 bench-smoke:
 	GRAPHH_BENCH_SCALE=0.05 $(GO) run ./cmd/graphh-bench -exp skew -supersteps 8
 	GRAPHH_BENCH_SCALE=0.05 GRAPHH_OOC_BUDGETS=25 $(GO) run ./cmd/graphh-bench -exp ooc -supersteps 6
 	GRAPHH_BENCH_SCALE=0.05 $(GO) run ./cmd/graphh-bench -exp multijob -supersteps 8
 	$(GO) test ./internal/cluster/ -run TestRecvSteadyStateAllocs -count=1
 	$(GO) test ./internal/core/ -run 'TestProcessTileSteadyStateAllocs|TestPrefetchSteadyStateAllocs' -count=1
+	$(GO) test ./internal/compress/ -run TestZlibSteadyStateAllocs -count=1
+	$(GO) test ./internal/cache/ -run 'TestDeclinedPutSkipsCompression|TestShareWindowSteadyStateAllocs' -count=1
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkRecovery4Servers -benchtime 1x -count=1
+
+# bench-selftest runs the benchmark's own tests. perfbench/ is a module of
+# its own, so the root `go test ./...` does not build it: without this
+# target a library change could break the benchmark unnoticed.
+bench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # api-check surfaces accidental public-API breaks: the root package's
 # `go doc -all` output must match the committed snapshot in docs/API.txt.

@@ -301,10 +301,14 @@ func printJob(name string, res *graphh.Result, first bool, top int) {
 			pfIssued, pfHits, pfWasted, queueHW)
 	}
 	for _, sv := range res.Servers {
-		fmt.Printf("  server %d: mem %.2f MB, disk read %.2f MB, cache hit %.1f%% (%s/%s, %s tiles)\n",
+		ratio := "" // nothing measured: the raw tiles fit
+		if sv.CacheRatio > 0 {
+			ratio = fmt.Sprintf(", measured ratio %.2f", sv.CacheRatio)
+		}
+		fmt.Printf("  server %d: mem %.2f MB, disk read %.2f MB, cache hit %.1f%% (%s/%s, %s tiles%s)\n",
 			sv.Server, float64(sv.MemoryBytes)/1e6,
 			float64(sv.Disk.ReadBytes)/1e6, sv.Cache.HitRatio()*100,
-			sv.CacheMode, sv.CachePolicy, sv.Residency)
+			sv.CacheMode, sv.CachePolicy, sv.Residency, ratio)
 	}
 
 	type kv struct {

@@ -107,9 +107,15 @@ func (f *Filter) ContainsAny(keys []uint32) bool {
 
 // Clone returns a deep copy of the filter that owns its bit array.
 func (f *Filter) Clone() *Filter {
-	bits := make([]uint64, len(f.bits))
-	copy(bits, f.bits)
-	return &Filter{bits: bits, numBits: f.numBits, k: f.k, n: f.n}
+	c := new(Filter)
+	f.CopyInto(c)
+	return c
+}
+
+// CopyInto makes dst a deep copy of f, reusing dst's bit array when its
+// capacity suffices.
+func (f *Filter) CopyInto(dst *Filter) {
+	*dst = Filter{bits: append(dst.bits[:0], f.bits...), numBits: f.numBits, k: f.k, n: f.n}
 }
 
 // SizeBytes returns the in-memory footprint of the bit array.

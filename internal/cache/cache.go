@@ -199,6 +199,14 @@ type Cache struct {
 	// less room) still gets its own scan.
 	declinedEpoch int64
 	declinedSize  int64
+	// ratioHint is the compression ratio Put assumes before the cache has
+	// compressed anything itself (SetExpectedRatio; 0 = the codec's
+	// planning ratio). seenSize/seenStored total the tile sizes and blob
+	// sizes of every compression Put has done since: their quotient, the
+	// ratio this cache's own tiles actually compress at, replaces the hint
+	// once known.
+	ratioHint            float64
+	seenSize, seenStored int64
 	// flights single-flights concurrent LoadInto calls per tile id: the
 	// first loader becomes the leader, later callers wait on flightCond and
 	// reuse its result instead of issuing duplicate disk reads. Retired
@@ -213,7 +221,7 @@ type Cache struct {
 type flight struct {
 	done    bool
 	err     error
-	shared  *csr.Tile // leader's clone for waiters when the tile was not admitted
+	shared  *csr.Tile // leader's tile for waiters to copy when it was not admitted
 	waiters int
 }
 
@@ -275,6 +283,29 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 
 // Policy returns the cache's eviction policy.
 func (c *Cache) Policy() Policy { return c.policy }
+
+// SetExpectedRatio sets the compression ratio the cache assumes before it
+// has compressed a tile of its own — the engine passes the ratio it
+// measured on a sample of its tiles. Non-positive values restore the
+// codec's planning ratio. Call before use.
+func (c *Cache) SetExpectedRatio(r float64) {
+	c.mu.Lock()
+	c.ratioHint = r
+	c.mu.Unlock()
+}
+
+// expectedRatioLocked is the ratio Put's pre-compression size estimate
+// divides by: what this cache has measured on its own compressions, the
+// hint before that, and the codec's planning ratio without either.
+func (c *Cache) expectedRatioLocked() float64 {
+	switch {
+	case c.seenStored > 0:
+		return float64(c.seenSize) / float64(c.seenStored)
+	case c.ratioHint > 0:
+		return c.ratioHint
+	}
+	return c.mode.ExpectedRatio()
+}
 
 // SetChances overrides the Clock policy's k — the number of consecutive
 // epochs an entry must go untouched before it becomes an eviction victim.
@@ -405,22 +436,26 @@ func (c *Cache) Put(id int, t *csr.Tile) error {
 		return nil
 	}
 	if c.policy != LRU {
-		// Skip the compression work when even an optimistic size estimate
-		// cannot be admitted: once the cache fills, later misses must not
-		// keep paying compression CPU for entries that will be declined.
-		// For Clock the check consults the victim scan (an admission by
+		// Skip the compression work when the expected entry size cannot be
+		// admitted: once the cache fills, later misses must not keep paying
+		// compression CPU for entries that will be declined. The estimate
+		// divides by the ratio this cache's tiles have actually compressed
+		// at (expectedRatioLocked) — a fixed planning ratio far above it
+		// would compress every miss of a nearly full cache only to decline
+		// it. For Clock the check consults the victim scan (an admission by
 		// eviction is still worth compressing for) and a failed scan
 		// settles declines for the rest of the epoch.
-		optimistic := int64(float64(t.SizeBytes()) / c.mode.ExpectedRatio())
+		size := t.SizeBytes()
 		c.mu.Lock()
+		expected := int64(float64(size) / c.expectedRatioLocked())
 		skip := false
-		if _, present := c.entries[id]; !present && c.bytes+optimistic > c.capacity {
+		if _, present := c.entries[id]; !present && c.bytes+expected > c.capacity {
 			switch c.policy {
 			case AdmitNoEvict:
 				c.declined = true
 				skip = true
 			case Clock:
-				skip = !c.clockAdmissibleLocked(optimistic)
+				skip = !c.clockAdmissibleLocked(expected)
 			}
 		}
 		c.mu.Unlock()
@@ -441,12 +476,16 @@ func (c *Cache) Put(id int, t *csr.Tile) error {
 		}
 		e = &entry{id: id, blob: blob, size: int64(len(blob))}
 	}
-	if e.size > c.capacity {
-		return nil
-	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if e.blob != nil {
+		c.seenSize += t.SizeBytes()
+		c.seenStored += e.size
+	}
+	if e.size > c.capacity {
+		return nil
+	}
 	c.removeLocked(id) // replacement: drop the old entry first
 	if !c.ensureRoomLocked(e.size) {
 		return nil
@@ -578,8 +617,9 @@ func (c *Cache) GetOrLoadInto(id int, dst *csr.Tile, load func(dst *csr.Tile) (*
 // caller becomes the leader and runs load, the rest wait and reuse its
 // result — a demand load and a racing prefetch of the same tile never issue
 // duplicate disk reads. A waiter resolves from the cache when the leader's
-// tile was admitted, from a shared clone when it was not, and falls back to
-// its own load only if the leader failed.
+// tile was admitted, by copying the leader's tile into dst when it was not
+// (the leader holds its tile until every waiter has copied it), and falls
+// back to its own load only if the leader failed.
 func (c *Cache) LoadInto(id int, dst *csr.Tile, load func(dst *csr.Tile) (*csr.Tile, error)) (*csr.Tile, error) {
 	c.mu.Lock()
 	for {
@@ -591,16 +631,28 @@ func (c *Cache) LoadInto(id int, dst *csr.Tile, load func(dst *csr.Tile) (*csr.T
 		for !f.done {
 			c.flightCond.Wait()
 		}
+		if f.shared != nil {
+			// The leader keeps its tile unchanged until the last waiter
+			// has copied it, then recycles the flight itself.
+			c.mu.Unlock()
+			if dst == nil {
+				dst = new(csr.Tile)
+			}
+			f.shared.CopyInto(dst)
+			c.mu.Lock()
+			if f.waiters--; f.waiters == 0 {
+				c.flightCond.Broadcast()
+			}
+			c.mu.Unlock()
+			return dst, nil
+		}
 		f.waiters--
-		err, shared := f.err, f.shared
+		err := f.err
 		if f.waiters == 0 {
 			c.recycleFlightLocked(f)
 		}
 		c.mu.Unlock()
 		if err == nil {
-			if shared != nil {
-				return shared, nil
-			}
 			if t, ok := c.getInto(id, dst, false); ok {
 				return t, nil
 			}
@@ -623,15 +675,19 @@ func (c *Cache) LoadInto(id int, dst *csr.Tile, load func(dst *csr.Tile) (*csr.T
 	if err == nil && f.waiters > 0 {
 		if _, resident := c.entries[id]; !resident {
 			// The tile was declined (or the cache stores blobs): waiters
-			// cannot re-fetch it from the cache, so share one read-only
-			// clone — t itself may alias the leader's scratch.
-			f.shared = t.Clone()
+			// cannot re-fetch it from the cache, so they copy t — which
+			// may be the leader's scratch, so the leader waits for them.
+			f.shared = t
 		}
+	}
+	if f.waiters > 0 {
+		c.flightCond.Broadcast()
+	}
+	for f.shared != nil && f.waiters > 0 {
+		c.flightCond.Wait()
 	}
 	if f.waiters == 0 {
 		c.recycleFlightLocked(f)
-	} else {
-		c.flightCond.Broadcast()
 	}
 	c.mu.Unlock()
 	return t, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/csr"
 	"repro/internal/graph"
+	"repro/internal/racedetect"
 	"repro/internal/tile"
 )
 
@@ -304,5 +305,66 @@ func TestResetStats(t *testing.T) {
 	}
 	if s.Entries != 1 {
 		t.Fatal("reset dropped contents")
+	}
+}
+
+// TestDeclinedPutSkipsCompression: a nearly full zlib-3 cache must decline
+// a miss without compressing it. The room left (30% of the tile's size)
+// clears the codec's planning estimate (size/5) but not the ratio the
+// cache's own first admission measured (about 1.8 on RMAT tiles), so the
+// decline happens before any work and allocates nothing.
+func TestDeclinedPutSkipsCompression(t *testing.T) {
+	tiles := makeTiles(t, 4)
+	first, err := compress.Zlib3.Compress(tiles[0].Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(int64(len(first))+tiles[1].SizeBytes()*3/10, compress.Zlib3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(0, tiles[0]); err != nil || !c.Contains(0) {
+		t.Fatalf("first tile not admitted (err %v)", err)
+	}
+	put := func() {
+		if err := c.Put(1, tiles[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put()
+	if c.Contains(1) {
+		t.Fatal("tile admitted past capacity")
+	}
+	if racedetect.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(20, put); allocs != 0 {
+		t.Errorf("declined Put allocates %.1f times, want 0 (compressed before declining)", allocs)
+	}
+}
+
+// TestSetExpectedRatio: before its first compression the cache estimates
+// entry sizes with the ratio it was given; with none, the codec's planning
+// ratio.
+func TestSetExpectedRatio(t *testing.T) {
+	tiles := makeTiles(t, 4)
+	size := tiles[0].SizeBytes()
+	for _, tc := range []struct {
+		hint       float64
+		compressed bool
+	}{{0, true}, {1.2, false}} {
+		c, err := New(size/3, compress.Zlib3) // room for size/5, not size/1.2
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetExpectedRatio(tc.hint)
+		if err := c.Put(0, tiles[0]); err != nil {
+			t.Fatal(err)
+		}
+		// With the planning ratio the tile is compressed (and then
+		// declined); with the measured hint it is declined unseen.
+		if got := c.seenStored > 0; got != tc.compressed {
+			t.Errorf("hint %.1f: compressed = %v, want %v", tc.hint, got, tc.compressed)
+		}
 	}
 }

@@ -10,10 +10,16 @@ import (
 // session. Two jobs sweeping the same graph visit the same tiles in the
 // same cyclic order; when a tile misses the shared cache (declined
 // admission, streaming residency), the job that paid the disk read offers a
-// clone here, tagged with a refcount bitmask naming the other in-flight
+// copy here, tagged with a refcount bitmask naming the other in-flight
 // jobs. Each of those jobs takes the tile once — clearing its bit — and the
 // entry is dropped when the mask empties, so the window holds a tile only
 // for the gap between the leading job's sweep and the laggards'.
+//
+// The window is bounded in bytes (the tiles' SizeBytes), not in tiles, so
+// its footprint follows the memory budget whatever the tile size. Offer
+// copies the tile into a recycled entry and Take copies it out into the
+// taker's scratch, so a steady stream of shares allocates nothing and
+// leaves no garbage behind.
 //
 // The window is strictly non-blocking: a full window skips the offer (the
 // lagging job falls back to its own disk read), so no job ever waits on
@@ -22,9 +28,14 @@ import (
 // misses for the same tile), this is how two jobs pay one disk read for one
 // shared sweep.
 type ShareWindow struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[int]*shareEntry
+	mu    sync.Mutex
+	cap   int64
+	bytes int64
+	// live holds the resident entries; a window holds a handful of tiles,
+	// so a linear scan beats a map and allocates nothing. free recycles
+	// retired entries together with their tile storage.
+	live []*shareEntry
+	free []*shareEntry
 
 	offers int64
 	hits   int64
@@ -32,69 +43,77 @@ type ShareWindow struct {
 }
 
 type shareEntry struct {
-	tile *csr.Tile
+	id   int
+	tile csr.Tile
+	size int64
 	refs uint64 // bitmask of job slots that have not taken the tile yet
 }
 
-// NewShareWindow returns a window holding at most capTiles tiles.
+// NewShareWindow returns a window holding at most capBytes of tiles.
 // A non-positive capacity yields a window that skips every offer.
-func NewShareWindow(capTiles int) *ShareWindow {
-	return &ShareWindow{cap: capTiles, entries: make(map[int]*shareEntry)}
+func NewShareWindow(capBytes int64) *ShareWindow {
+	return &ShareWindow{cap: capBytes}
 }
 
-// Offer publishes a tile for the consumer slots in mask (a bit per job
-// slot, the offering job excluded). The tile must be immutable and owned by
-// the window's consumers — callers clone scratch-backed tiles before
-// offering. Returns whether the tile was retained. An empty mask, a
-// duplicate id, or a full window skips the offer.
+// SetCapacity changes the byte bound. Resident entries stay until taken;
+// only later offers see the new bound.
+func (w *ShareWindow) SetCapacity(capBytes int64) {
+	w.mu.Lock()
+	w.cap = capBytes
+	w.mu.Unlock()
+}
+
+// Offer publishes a copy of t for the consumer slots in mask (a bit per
+// job slot, the offering job excluded); t itself is not retained, so it
+// may be scratch. Returns whether the tile was retained. An empty mask, a
+// duplicate id, or a tile that does not fit the remaining bytes skips the
+// offer without copying anything.
 func (w *ShareWindow) Offer(id int, t *csr.Tile, mask uint64) bool {
 	if t == nil || mask == 0 {
 		return false
 	}
+	size := t.SizeBytes()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.offers++
-	if _, dup := w.entries[id]; dup {
+	if w.findLocked(id) >= 0 {
 		return false
 	}
-	if len(w.entries) >= w.cap {
+	if w.bytes+size > w.cap {
 		w.skips++
 		return false
 	}
-	w.entries[id] = &shareEntry{tile: t, refs: mask}
+	var e *shareEntry
+	if n := len(w.free); n > 0 {
+		e = w.free[n-1]
+		w.free = w.free[:n-1]
+	} else {
+		e = new(shareEntry)
+	}
+	e.id, e.size, e.refs = id, size, mask
+	t.CopyInto(&e.tile)
+	w.live = append(w.live, e)
+	w.bytes += size
 	return true
 }
 
-// Accepting reports whether an Offer for id would currently be retained —
-// an advisory pre-check so callers can skip cloning a tile the window would
-// drop anyway. The answer can go stale before the Offer lands; that only
-// costs a wasted clone or a skipped share, never correctness.
-func (w *ShareWindow) Accepting(id int) bool {
+// Take copies the tile offered for id into dst if slot's bit is still set,
+// clearing the bit, and returns dst; the last consumer retires the entry.
+func (w *ShareWindow) Take(id int, slot uint64, dst *csr.Tile) (*csr.Tile, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, dup := w.entries[id]; dup {
-		return false
-	}
-	return len(w.entries) < w.cap
-}
-
-// Take returns the tile offered for id if slot's bit is still set, clearing
-// the bit; the last consumer drops the entry. The returned tile is shared
-// and read-only.
-func (w *ShareWindow) Take(id int, slot uint64) (*csr.Tile, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.entries[id]
-	if !ok || e.refs&slot == 0 {
+	i := w.findLocked(id)
+	if i < 0 || w.live[i].refs&slot == 0 {
 		return nil, false
 	}
+	e := w.live[i]
+	e.tile.CopyInto(dst)
 	e.refs &^= slot
-	t := e.tile
 	if e.refs == 0 {
-		delete(w.entries, id)
+		w.retireLocked(i)
 	}
 	w.hits++
-	return t, true
+	return dst, true
 }
 
 // DropConsumer clears slot's bit from every resident entry — called when a
@@ -102,19 +121,38 @@ func (w *ShareWindow) Take(id int, slot uint64) (*csr.Tile, bool) {
 func (w *ShareWindow) DropConsumer(slot uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for id, e := range w.entries {
-		e.refs &^= slot
-		if e.refs == 0 {
-			delete(w.entries, id)
+	for i := len(w.live) - 1; i >= 0; i-- {
+		if w.live[i].refs &^= slot; w.live[i].refs == 0 {
+			w.retireLocked(i)
 		}
 	}
+}
+
+func (w *ShareWindow) findLocked(id int) int {
+	for i, e := range w.live {
+		if e.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// retireLocked moves live[i] to the freelist (order of live is irrelevant).
+func (w *ShareWindow) retireLocked(i int) {
+	e := w.live[i]
+	last := len(w.live) - 1
+	w.live[i] = w.live[last]
+	w.live[last] = nil
+	w.live = w.live[:last]
+	w.bytes -= e.size
+	w.free = append(w.free, e)
 }
 
 // Len returns the number of resident entries.
 func (w *ShareWindow) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.entries)
+	return len(w.live)
 }
 
 // ShareStats is a snapshot of the window's counters.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -116,8 +117,8 @@ func TestLoadIntoLeaderFailureRetries(t *testing.T) {
 
 // TestLoadIntoSharesCloneWhenNotAdmitted pins the declined-admission path:
 // with the cache disabled nothing is ever resident, so waiters must receive
-// one shared clone of the leader's tile (its own result may alias scratch)
-// rather than re-reading or failing.
+// a copy of the leader's tile, made into their own scratch while the leader
+// holds its tile still, rather than re-reading or failing.
 func TestLoadIntoSharesCloneWhenNotAdmitted(t *testing.T) {
 	tiles := makeTiles(t, 4)
 	c, err := New(0, compress.None)
@@ -151,18 +152,13 @@ func TestLoadIntoSharesCloneWhenNotAdmitted(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("loader invoked %d times, want 1", got)
 	}
-	// One leader returned its own decode; the other three share a clone.
-	shared := 0
+	// Every caller got the tile in its own scratch: the leader by decoding,
+	// the waiters by copying the leader's decode.
+	want := tiles[2].Encode()
 	for i, got := range results {
-		if got == nil || got.NumEdges() != tiles[2].NumEdges() {
-			t.Fatalf("caller %d got a wrong tile", i)
+		if got != &scratches[i] || !bytes.Equal(got.Encode(), want) {
+			t.Fatalf("caller %d got a wrong tile or not its own scratch", i)
 		}
-		if got != &scratches[i] {
-			shared++
-		}
-	}
-	if shared != n-1 {
-		t.Fatalf("%d callers received the shared clone, want %d", shared, n-1)
 	}
 	if got := c.Stats().Entries; got != 0 {
 		t.Fatalf("disabled cache retained %d entries", got)

@@ -92,3 +92,57 @@ func TestAppendReusesCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestZlibSteadyStateAllocs guards the pooled zlib codecs: with a warm
+// destination buffer, compressing and decompressing allocate nothing — no
+// per-call deflate state, inflate state, checksum or copy buffer. The
+// decompress target is sized exactly, so the end-of-stream probe runs too.
+//
+// The data is drawn from a 32-letter alphabet, so every Huffman code fits
+// the inflater's 9-bit primary table. Longer codes (common on real tiles)
+// make the standard library's inflater build link tables per block, which
+// allocate whatever the pooling does.
+func TestZlibSteadyStateAllocs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	rng := rand.New(rand.NewPCG(3, 3))
+	data := make([]byte, 1<<16)
+	for i := range data {
+		data[i] = byte('a' + rng.IntN(32))
+	}
+	for _, m := range []Mode{Zlib1, Zlib3} {
+		comp, err := m.AppendCompress(nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, 2*len(comp))
+		dec := make([]byte, 0, len(data))
+		t.Run(m.String()+"/compress", func(t *testing.T) {
+			allocs := testing.AllocsPerRun(20, func() {
+				if buf, err = m.AppendCompress(buf[:0], data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm AppendCompress allocates %.1f times, want 0", allocs)
+			}
+			if !bytes.Equal(buf, comp) {
+				t.Error("pooled writer output differs from a fresh one")
+			}
+		})
+		t.Run(m.String()+"/decompress", func(t *testing.T) {
+			allocs := testing.AllocsPerRun(20, func() {
+				if dec, err = m.AppendDecompress(dec[:0], comp); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm AppendDecompress allocates %.1f times, want 0", allocs)
+			}
+			if !bytes.Equal(dec, data) {
+				t.Error("pooled reader corrupted the round trip")
+			}
+		})
+	}
+}

@@ -96,8 +96,8 @@ func TestSelectCacheMode(t *testing.T) {
 		{tiles: 100, cap: 60, want: Snappy}, // fits at γ=2
 		{tiles: 100, cap: 30, want: Zlib1},  // fits at γ=4
 		{tiles: 100, cap: 21, want: Zlib3},  // fits at γ=5
-		{tiles: 100, cap: 10, want: Zlib1},  // nothing fits → paper fallback
-		{tiles: 100, cap: 0, want: Zlib1},   // no cache → fallback
+		{tiles: 100, cap: 10, want: None},   // nothing fits → tiles stay raw
+		{tiles: 100, cap: 0, want: None},    // no cache → raw
 		{tiles: 0, cap: 1, want: None},      // empty input fits anywhere
 	}
 	for _, c := range cases {
@@ -107,10 +107,107 @@ func TestSelectCacheMode(t *testing.T) {
 	}
 }
 
+// TestSelectCacheModeBy pins the selection over measured ratios: the
+// decision follows the supplied γ̂, not the planning figures, and a
+// zlib-3 that cannot fit ends the search before any cheaper codec is
+// measured.
+func TestSelectCacheModeBy(t *testing.T) {
+	// Poorly compressible tiles (the benchmark's RMAT graphs measure about
+	// 1.2, 1.7 and 1.8): at a 25% budget nothing fits.
+	poor := map[Mode]float64{Snappy: 1.21, Zlib1: 1.72, Zlib3: 1.80}
+	var asked []Mode
+	ratio := func(m Mode) float64 {
+		asked = append(asked, m)
+		return poor[m]
+	}
+	if got := SelectCacheModeBy(100, 25, ratio); got != None {
+		t.Fatalf("poor ratios at 25%% chose %s, want raw", got)
+	}
+	if len(asked) != 1 || asked[0] != Zlib3 {
+		t.Fatalf("measured %v, want only zlib-3", asked)
+	}
+	// The same tiles at a 60% budget: snappy misses (100/1.21 > 60), zlib-1
+	// fits.
+	if got := SelectCacheModeBy(100, 60, func(m Mode) float64 { return poor[m] }); got != Zlib1 {
+		t.Fatalf("poor ratios at 60%% chose %s, want zlib-1", got)
+	}
+	// Raw fits: nothing is measured.
+	asked = asked[:0]
+	if got := SelectCacheModeBy(100, 100, ratio); got != None || len(asked) != 0 {
+		t.Fatalf("raw fit chose %s after measuring %v", got, asked)
+	}
+}
+
+// TestMeasureRatio checks γ̂ on data with a known shape: incompressible
+// bytes measure at or below 1 for every codec, long runs far above it, and
+// raw is exactly 1.
+func TestMeasureRatio(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	noise := make([]byte, 32<<10)
+	for i := range noise {
+		noise[i] = byte(rng.Uint32())
+	}
+	runs := bytes.Repeat([]byte("graphh-tile "), 4096)
+	for _, m := range Modes {
+		r, err := m.MeasureRatio([][]byte{noise})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r > 1.001 {
+			t.Errorf("%s: random bytes measured %.3f, want ≤ 1", m, r)
+		}
+		r, err = m.MeasureRatio([][]byte{runs, runs[:1000]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case m == None && r != 1:
+			t.Errorf("raw measured %.3f, want 1", r)
+		case m != None && r < 10:
+			t.Errorf("%s: repeated text measured %.3f, want ≥ 10", m, r)
+		}
+	}
+	if r, err := Zlib3.MeasureRatio(nil); err != nil || r != 1 {
+		t.Fatalf("empty sample = %v, %v; want 1", r, err)
+	}
+}
+
 func TestDecompressCorrupt(t *testing.T) {
 	for _, m := range []Mode{Snappy, Zlib1, Zlib3} {
 		if _, err := m.Decompress([]byte("definitely not compressed")); err == nil {
 			t.Errorf("%s accepted garbage", m)
+		}
+	}
+}
+
+// TestZlibFramingErrors covers the zlib framing checks: a damaged
+// checksum, a truncated stream, a preset-dictionary flag and a bad header
+// all fail instead of returning wrong bytes.
+func TestZlibFramingErrors(t *testing.T) {
+	src := bytes.Repeat([]byte("tile bytes "), 500)
+	for _, m := range []Mode{Zlib1, Zlib3} {
+		enc, err := m.Compress(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage := func(f func(b []byte) []byte) []byte {
+			return f(append([]byte(nil), enc...))
+		}
+		cases := map[string][]byte{
+			"checksum":  damage(func(b []byte) []byte { b[len(b)-1] ^= 1; return b }),
+			"truncated": damage(func(b []byte) []byte { return b[:len(b)/2] }),
+			"dict": damage(func(b []byte) []byte {
+				flg := b[1]&0xc0 | 0x20 // FDICT set, FCHECK recomputed below
+				b[1] = flg + byte((31-(uint16(b[0])<<8|uint16(flg))%31)%31)
+				return b
+			}),
+			"header": damage(func(b []byte) []byte { b[0] = 0x79; return b }),
+			"short":  enc[:5],
+		}
+		for name, data := range cases {
+			if out, err := m.Decompress(data); err == nil {
+				t.Errorf("%s/%s: accepted, got %d bytes", m, name, len(out))
+			}
 		}
 	}
 }

@@ -551,6 +551,9 @@ type server struct {
 	pf        *prefetcher
 	pfDepth   int
 	residency ResidencyMode
+	// cacheRatio is the measured compression ratio behind the cache-mode
+	// choice (ServerStats.CacheRatio); 0 when nothing was measured.
+	cacheRatio float64
 
 	// Fault tolerance. workRoot is the session work directory (recovery
 	// reads dead peers' tile blobs from their subdirectories); baseOwner
@@ -861,7 +864,9 @@ func (s *server) setup() error {
 		memberSet = make(map[uint32]struct{})
 	}
 	var tl csr.Tile // reused across tiles; only the filter is retained
+	sample := newRatioSample(len(s.tiles))
 	ingest := func(i int, enc []byte) error {
+		sample.offer(len(s.metas), enc)
 		if err := s.store.Write(tileBlobName(i), enc); err != nil {
 			return err
 		}
@@ -979,14 +984,32 @@ func (s *server) setup() error {
 	case capacity < 0:
 		capacity = 0
 	}
+	// Cache-mode selection (§IV-B) on measured ratios: when the raw tiles
+	// do not fit, each codec's γ̂ is measured on the sample and replaces the
+	// paper's planning γᵢ, both in the choice and in the expected cached
+	// working set below, which drives the eviction policy, the residency
+	// tier and the prefetch depth.
 	mode := s.cfg.CacheMode
 	if s.cfg.CacheAuto {
-		mode = compress.SelectCacheMode(totalEnc, capacity)
+		mode = compress.None
 	}
-	// The bytes competing for capacity are the tiles as the chosen mode
-	// stores them: decoded (≈ encoded size) for mode None, an expected
-	// γ-fold smaller for the compressed modes.
-	expectedCached := int64(float64(totalEnc) / mode.ExpectedRatio())
+	gamma := 1.0 // ratio of the tiles as the chosen mode stores them
+	if capacity > 0 && totalEnc > capacity && (s.cfg.CacheAuto || mode != compress.None) {
+		if s.cfg.CacheAuto {
+			mode = compress.SelectCacheModeBy(totalEnc, capacity, sample.ratio)
+		}
+		gamma = sample.ratio(mode)
+		s.cacheRatio = gamma
+		if mode == compress.None {
+			// Nothing fit: report the strongest codec's ratio, the one
+			// that fell short.
+			s.cacheRatio = sample.ratio(compress.Zlib3)
+		}
+		if sample.err != nil {
+			return fmt.Errorf("core: server %d measuring tile compressibility: %w", s.node.ID(), sample.err)
+		}
+	}
+	expectedCached := int64(float64(totalEnc) / gamma)
 	policy := s.cfg.CachePolicy
 	if s.cfg.CachePolicyAuto {
 		policy = cache.AdmitNoEvict
@@ -997,6 +1020,9 @@ func (s *server) setup() error {
 	s.cache, err = cache.NewWithPolicy(capacity, mode, policy)
 	if err != nil {
 		return err
+	}
+	if mode != compress.None {
+		s.cache.SetExpectedRatio(s.cacheRatio)
 	}
 
 	// Residency tier: past the streaming crossover the cache machinery buys
@@ -1027,6 +1053,9 @@ func (s *server) setup() error {
 			effCap = 0 // every sweep misses everything
 		}
 		depth = costmodel.PrefetchDepth(expectedCached, effCap, s.cfg.WorkersPerServer)
+		// Staging is memory too: the staged tiles and in-flight batch
+		// frames stay within the cache budget.
+		depth = costmodel.BoundPrefetchDepth(depth, capacity, s.maxTileBytes())
 	}
 	if depth > 0 {
 		s.pfDepth = depth
@@ -1444,7 +1473,7 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 	if s.multi {
 		// Cross-job sharing: a concurrent job may have offered this tile
 		// after paying its disk read. A take is the read this job skips.
-		if t, ok := s.shared.share.Take(meta.id, s.slotBit); ok {
+		if t, ok := s.shared.share.Take(meta.id, s.slotBit, &scr.tile); ok {
 			atomic.AddInt64(&s.shareHits, 1)
 			if s.residency == ResidencyCached {
 				if err := s.cache.AdmitLoaded(meta.id, t); err != nil {
@@ -1861,16 +1890,13 @@ func (s *server) recvCount(count int, fn func(from int, msg []byte) error) error
 }
 
 // offerShare publishes a tile this runner just paid a disk read for to the
-// node's share window, for the other in-flight jobs to take. The tile is
-// cloned because the argument is scratch- or cache-backed; the clone is
-// skipped when no other job is running or the window would drop the offer.
+// node's share window, for the other in-flight jobs to take. The window
+// copies the tile, so scratch- or cache-backed arguments are fine.
 func (s *server) offerShare(id int, t *csr.Tile) {
 	sh := s.shared
-	mask := sh.sched.othersMask(s.slotBit)
-	if mask == 0 || !sh.share.Accepting(id) {
-		return
+	if mask := sh.sched.othersMask(s.slotBit); mask != 0 {
+		sh.share.Offer(id, t, mask)
 	}
-	sh.share.Offer(id, t.Clone(), mask)
 }
 
 // fillServerStats computes the analytic memory footprint (§IV-A accounting)
@@ -1889,19 +1915,14 @@ func (s *server) fillServerStats() {
 	// Cache contents plus one in-flight decoded tile per worker.
 	cs := s.cache.Stats()
 	mem += cs.BytesCached
-	var maxTile int64
-	for _, m := range s.metas {
-		if m.encBytes > maxTile {
-			maxTile = m.encBytes
-		}
-	}
-	mem += maxTile * int64(s.cfg.WorkersPerServer)
+	mem += s.maxTileBytes() * int64(s.cfg.WorkersPerServer)
 	st.MemoryBytes = mem
 	st.Disk = s.store.Counters()
 	st.Cache = cs
 	st.CacheMode = s.cache.Mode()
 	st.CachePolicy = s.cache.Policy()
 	st.Residency = s.residency
+	st.CacheRatio = s.cacheRatio
 	if s.pf != nil {
 		st.PrefetchIssued, st.PrefetchHits, st.PrefetchWasted = s.pf.statsSnapshot()
 	}
@@ -1927,6 +1948,15 @@ func (s *server) fillServerStats() {
 	st.SharedTileLoads = atomic.LoadInt64(&s.shareHits)
 }
 
+// maxTileBytes is the largest encoded tile this server owns.
+func (s *server) maxTileBytes() int64 {
+	var maxTile int64
+	for _, m := range s.metas {
+		maxTile = max(maxTile, m.encBytes)
+	}
+	return maxTile
+}
+
 // jobRunner clones this server for one admitted job of a multi-tenant
 // session. The clone shares everything session-lifetime — store, cache,
 // graph, node, metas data, the nodeShared plumbing — and privatizes
@@ -1947,6 +1977,7 @@ func (s *server) jobRunner(jb *job) *server {
 		members:    s.members,
 		bloomBytes: s.bloomBytes,
 		residency:  s.residency,
+		cacheRatio: s.cacheRatio,
 		workRoot:   s.workRoot,
 		baseOwner:  s.baseOwner, // read-only without the rebalancer
 		faults:     s.faults,

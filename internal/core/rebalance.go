@@ -322,7 +322,11 @@ func (s *server) admitTile(id int, body []byte) error {
 		return fmt.Errorf("core: server %d: migrated blob says tile %d, envelope says %d", s.node.ID(), tl.ID, id)
 	}
 	blob := tileBlobName(id)
-	if err := s.store.Write(blob, body); err != nil {
+	// Atomic: in a multi-tenant session every job's runner adopts a dead
+	// peer's tiles into the one shared store, so another runner may be
+	// reading this very blob; it must see the whole tile, never a
+	// truncated one.
+	if err := s.store.WriteAtomic(blob, body); err != nil {
 		return fmt.Errorf("core: server %d persisting migrated tile %d: %w", s.node.ID(), id, err)
 	}
 	meta := &tileMeta{id: id, blob: blob, lo: tl.TargetLo, hi: tl.TargetHi, encBytes: int64(len(body))}

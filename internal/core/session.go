@@ -340,7 +340,7 @@ func Open(in Input, cfg Config) (*Session, error) {
 		ns := &nodeShared{joinBlock: &se.joinBlock, admit: se.admitJoin}
 		if multi {
 			ns.gate = newStepGate()
-			ns.share = cache.NewShareWindow(costmodel.ShareWindowTiles(cfg.MaxConcurrentJobs, cfg.WorkersPerServer))
+			ns.share = cache.NewShareWindow(0) // sized in bytes once setup has run
 			ns.sched = se.sched
 		}
 		se.shared[i] = ns
@@ -415,6 +415,10 @@ func Open(in Input, cfg Config) (*Session, error) {
 			// The fetch closure (and any tile encodings it retains) is only
 			// needed during setup; drop it so the session doesn't pin it.
 			sv.fetch = nil
+			if multi {
+				sv.shared.share.SetCapacity(costmodel.ShareWindowBytes(
+					cfg.MaxConcurrentJobs, cfg.WorkersPerServer, sv.cache.Capacity(), sv.maxTileBytes()))
+			}
 			if !multi {
 				for jb := range se.jobChs[n.ID()] {
 					sv.shared.quiesceEnter()

@@ -70,6 +70,12 @@ type ServerStats struct {
 	Cache cache.Stats `json:"cache"`
 	// CacheMode is the codec the cache ran with (auto-selected or fixed).
 	CacheMode compress.Mode `json:"cache_mode"`
+	// CacheRatio is the compression ratio γ̂ measured on a sample of the
+	// server's tiles that decided CacheMode: the chosen codec's, or, when
+	// no codec fit the budget and tiles stay raw, zlib-3's (the strongest
+	// codec's) that fell short. 0 when the raw tiles fit and nothing was
+	// measured.
+	CacheRatio float64 `json:"cache_ratio"`
 	// CachePolicy is the eviction policy the cache ran with (auto-selected
 	// or fixed).
 	CachePolicy cache.Policy `json:"cache_policy"`

@@ -49,7 +49,7 @@ func TestStepStatsJSONSchema(t *testing.T) {
 func TestServerStatsJSONSchema(t *testing.T) {
 	want := []string{
 		"bytes_recv", "bytes_sent", "cache", "cache_mode", "cache_policy",
-		"checkpoint_bytes", "checkpoints", "disk", "joins", "membership_epoch",
+		"cache_ratio", "checkpoint_bytes", "checkpoints", "disk", "joins", "membership_epoch",
 		"memory_bytes", "prefetch_hits", "prefetch_issued", "prefetch_wasted",
 		"recoveries", "recovery_time_ns", "residency", "send_queue_cap",
 		"send_queue_high_water", "send_stalls", "server", "shared_tile_loads",
@@ -103,7 +103,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 			WriteOps: 4, BatchedReads: 5, QueuedOps: 6, QueueHighWater: 7},
 		Cache: cache.Stats{Hits: 8, Misses: 9, Evictions: 10, BytesCached: 11,
 			Entries: 12, DecompressTime: 13 * time.Millisecond},
-		CacheMode: compress.Zlib1, CachePolicy: cache.Clock,
+		CacheMode: compress.Zlib1, CacheRatio: 1.75, CachePolicy: cache.Clock,
 		Residency: ResidencyStreaming, PrefetchIssued: 14, PrefetchHits: 15,
 		PrefetchWasted: 16, BytesSent: 17, BytesRecv: 18, SendStalls: 19,
 		SendQueueHighWater: 20, SendQueueCap: 21, TilesMigratedIn: 22,

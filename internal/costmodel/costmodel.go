@@ -335,6 +335,20 @@ func PrefetchDepth(workingSetBytes, capacityBytes int64, workers int) int {
 	return depth
 }
 
+// BoundPrefetchDepth caps a sweep-ahead window so its staging fits a
+// memory budget, normally the server's cache capacity. Each tile the window
+// holds occupies about its encoded size: its part of a batch frame while
+// the read is in flight, its decoded form once staged. So at most
+// budget/tileBytes tiles of the largest size are held, and at least one,
+// so the next read still overlaps compute. A non-positive budget (no
+// cache) or tile size leaves the depth as it is.
+func BoundPrefetchDepth(depth int, budgetBytes, tileBytes int64) int {
+	if depth <= 0 || budgetBytes <= 0 || tileBytes <= 0 {
+		return depth
+	}
+	return int(max(1, min(int64(depth), budgetBytes/tileBytes)))
+}
+
 // PrefetchIODepth converts a sweep-ahead window into the number of batched
 // reads allowed in flight at once: enough to cover the window in batches of
 // batchSize, clamped to [1, 4] — one op keeps the device busy, a few hide

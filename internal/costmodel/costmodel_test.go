@@ -435,3 +435,30 @@ func TestPrefetchIODepth(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundPrefetchDepth: the window's tiles (one encoded tile size each:
+// a batch frame share in flight, the decoded tile once staged) fit the
+// budget, never below one tile; without a budget the depth is untouched.
+func TestBoundPrefetchDepth(t *testing.T) {
+	const tile = 176 << 10
+	cases := []struct {
+		depth       int
+		budget, sz  int64
+		want        int
+		description string
+	}{
+		{12, 4 * tile, tile, 4, "25% budget of 16 tiles: four tiles held"},
+		{12, 2*tile + tile/2, tile, 2, "a partial tile of budget does not count"},
+		{4, 100 * tile, tile, 4, "a roomy budget keeps the depth"},
+		{12, tile / 2, tile, 1, "a budget under one tile still stages one"},
+		{16, 0, tile, 16, "no cache budget: tile-count depth"},
+		{0, 4 * tile, tile, 0, "prefetch off stays off"},
+		{8, 4 * tile, 0, 8, "unknown tile size: unbounded"},
+	}
+	for _, c := range cases {
+		if got := BoundPrefetchDepth(c.depth, c.budget, c.sz); got != c.want {
+			t.Errorf("%s: BoundPrefetchDepth(%d, %d, %d) = %d, want %d",
+				c.description, c.depth, c.budget, c.sz, got, c.want)
+		}
+	}
+}

@@ -3,10 +3,10 @@ package costmodel
 // Multi-tenant admission and fairness sizing. A session that interleaves
 // jobs needs three numbers: how many jobs may run at once (chosen by the
 // caller), how deep the admission queue behind them may grow, and how many
-// tiles the cross-job share window may pin while a lagging job catches up
-// to the job that paid the disk read. The bounds here keep both backlogs
-// proportional to the concurrency level, so a burst of Submits degrades to
-// queueing — never to unbounded memory.
+// bytes of tiles the cross-job share window may pin while a lagging job
+// catches up to the job that paid the disk read. The queue bound grows with
+// the concurrency level and the window stays inside the cache budget, so a
+// burst of Submits degrades to queueing — never to unbounded memory.
 
 // MaxJobSlots caps the concurrency level of one session: job identities in
 // the share window are bitmask slots in a uint64.
@@ -41,25 +41,18 @@ func JobQueueBound(maxRun int) int {
 	return b
 }
 
-// ShareWindowTiles sizes the cross-job tile-sharing window: how many tiles
-// the leading job may leave pinned for laggards before offers degrade to
-// per-job disk reads. Each concurrent job can be mid-sweep at a different
-// tile, and each of its workers can be a tile ahead, so the window scales
-// with jobs×workers, clamped to [8, 64] tiles — a sliver of the cache
-// budget, because a laggard more than a window behind re-reads from disk
-// anyway and self-aligns with the leader through the free hits.
-func ShareWindowTiles(jobs, workersPerServer int) int {
+// ShareWindowBytes sizes the cross-job tile-sharing window in bytes: the
+// server's cache capacity, so the tiles the leading job leaves pinned for
+// laggards never outgrow the memory the cache itself may use. A laggard
+// more than a window behind re-reads from disk anyway and self-aligns with
+// the leader through the free hits. The window never drops below one tile
+// (of tileBytes) per worker per job, so sharing survives on servers with
+// no cache budget at all; serial sessions get no window.
+func ShareWindowBytes(jobs, workersPerServer int, capacityBytes, tileBytes int64) int64 {
 	if jobs < 2 {
 		return 0
 	}
-	w := jobs * workersPerServer * 2
-	if w < 8 {
-		w = 8
-	}
-	if w > 64 {
-		w = 64
-	}
-	return w
+	return max(capacityBytes, int64(jobs*workersPerServer)*tileBytes)
 }
 
 // WRRCharge is the virtual-time charge of one scheduling grant for a job

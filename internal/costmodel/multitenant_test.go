@@ -25,18 +25,21 @@ func TestJobQueueBound(t *testing.T) {
 	}
 }
 
-func TestShareWindowTiles(t *testing.T) {
-	if got := ShareWindowTiles(1, 8); got != 0 {
+func TestShareWindowBytes(t *testing.T) {
+	const tile = 100 << 10
+	if got := ShareWindowBytes(1, 8, 1<<20, tile); got != 0 {
 		t.Errorf("serial session should have no window, got %d", got)
 	}
-	if got := ShareWindowTiles(2, 1); got != 8 {
-		t.Errorf("floor: got %d, want 8", got)
+	// The window is the cache budget, in bytes.
+	if got := ShareWindowBytes(2, 1, 700<<10, tile); got != 700<<10 {
+		t.Errorf("2 jobs at a 700 KiB budget: got %d, want the budget", got)
 	}
-	if got := ShareWindowTiles(2, 4); got != 16 {
-		t.Errorf("2 jobs × 4 workers: got %d, want 16", got)
+	// No cache budget: one tile per worker per job.
+	if got := ShareWindowBytes(2, 4, 0, tile); got != 8*tile {
+		t.Errorf("floor: got %d, want %d", got, 8*tile)
 	}
-	if got := ShareWindowTiles(16, 16); got != 64 {
-		t.Errorf("ceiling: got %d, want 64", got)
+	if got := ShareWindowBytes(3, 1, tile, tile); got != 3*tile {
+		t.Errorf("budget below the floor: got %d, want %d", got, 3*tile)
 	}
 }
 

@@ -230,3 +230,45 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestCopyInto drives one destination through copies of different shapes —
+// weighted and not, growing and shrinking, with and without filter — and
+// checks each copy encodes identically to its source and shares none of its
+// storage. A warm copy of a same-sized tile allocates nothing.
+func TestCopyInto(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	var dst Tile
+	for i, shape := range []struct {
+		hi       uint32
+		weighted bool
+		filter   bool
+	}{{40, false, true}, {90, true, true}, {10, true, false}, {60, false, false}, {90, true, true}} {
+		src := buildTile(rng, uint32(i), 0, shape.hi, 500, shape.weighted)
+		if shape.filter {
+			src.BuildFilter(0.01)
+		}
+		want := src.Encode()
+		got := src.CopyInto(&dst)
+		if got != &dst || !slices.Equal(dst.Encode(), want) {
+			t.Fatalf("shape %d: copy encodes differently from its source", i)
+		}
+		if dst.Weighted() != shape.weighted || (dst.Filter != nil) != shape.filter {
+			t.Fatalf("shape %d: weighted=%v filter=%v", i, dst.Weighted(), dst.Filter != nil)
+		}
+		if len(src.Col) > 0 {
+			src.Col[0]++ // the copy owns its storage
+			if dst.Col[0] == src.Col[0] {
+				t.Fatalf("shape %d: copy aliases the source's edges", i)
+			}
+		}
+	}
+	if racedetect.Enabled {
+		return
+	}
+	src := buildBigTile(1<<12, true)
+	src.BuildFilter(0.01)
+	src.CopyInto(&dst)
+	if allocs := testing.AllocsPerRun(20, func() { src.CopyInto(&dst) }); allocs != 0 {
+		t.Errorf("warm CopyInto allocates %.1f times, want 0", allocs)
+	}
+}

@@ -49,20 +49,40 @@ type Tile struct {
 
 // Clone returns a deep copy of the tile that owns all of its storage —
 // required before retaining a tile that was decoded into reusable scratch.
-func (t *Tile) Clone() *Tile {
-	c := &Tile{
-		ID:          t.ID,
-		TargetLo:    t.TargetLo,
-		TargetHi:    t.TargetHi,
-		NumVertices: t.NumVertices,
-		Row:         slices.Clone(t.Row),
-		Col:         slices.Clone(t.Col),
-		Val:         slices.Clone(t.Val),
+func (t *Tile) Clone() *Tile { return t.CopyInto(new(Tile)) }
+
+// CopyInto makes dst a deep copy of t that owns all of its storage, reusing
+// dst's arrays and filter when their capacity suffices — Clone for callers
+// that recycle tiles, so a steady stream of copies allocates nothing. It
+// returns dst.
+func (t *Tile) CopyInto(dst *Tile) *Tile {
+	dst.ID, dst.TargetLo, dst.TargetHi, dst.NumVertices = t.ID, t.TargetLo, t.TargetHi, t.NumVertices
+	nr, ne := len(t.Row), len(t.Col)
+	if cap(dst.backing) < nr+ne {
+		dst.backing = make([]uint32, nr+ne)
+	}
+	dst.backing = dst.backing[:nr+ne]
+	copy(dst.backing, t.Row)
+	copy(dst.backing[nr:], t.Col)
+	dst.Row = dst.backing[:nr:nr]
+	dst.Col = dst.backing[nr : nr+ne : nr+ne]
+	if t.Val != nil {
+		if dst.Val == nil {
+			dst.Val = make([]float32, 0, len(t.Val)) // non-nil even when empty: weighted
+		}
+		dst.Val = append(dst.Val[:0], t.Val...)
+	} else {
+		dst.Val = nil
 	}
 	if t.Filter != nil {
-		c.Filter = t.Filter.Clone()
+		if dst.Filter == nil {
+			dst.Filter = new(bloom.Filter)
+		}
+		t.Filter.CopyInto(dst.Filter)
+	} else {
+		dst.Filter = nil
 	}
-	return c
+	return dst
 }
 
 // NumTargets returns the number of target vertices covered by the tile.

@@ -369,8 +369,22 @@ func (s *Store) WriteAtomic(name string, data []byte) error {
 	s.beginOp()
 	defer s.endOp()
 	s.reserve(len(data), s.cfg.WriteBandwidth, 0)
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// A temporary name of its own per call: concurrent writers of the same
+	// blob must not truncate each other's staging file.
+	f, err := os.CreateTemp(filepath.Dir(p), filepath.Base(p)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("disk: writing %q: %w", name, err)
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("disk: writing %q: %w", name, err)
 	}
 	if err := os.Rename(tmp, p); err != nil {
