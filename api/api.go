@@ -262,7 +262,7 @@ type JobCounters struct {
 // SessionInfo is the session-level snapshot inside StatsResponse.
 type SessionInfo struct {
 	// Servers is the simulated cluster size; MaxConcurrentJobs its
-	// multi-tenancy level (1 = serial).
+	// run-slot count (1 = one job at a time).
 	Servers           int `json:"servers"`
 	MaxConcurrentJobs int `json:"max_concurrent_jobs"`
 	// NumVertices and NumTiles describe the loaded graph.

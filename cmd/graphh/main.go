@@ -55,13 +55,13 @@ func main() {
 		diskBW     = flag.Int64("disk-bw", 0, "disk bandwidth model, bytes/s (0 = unthrottled)")
 		diskLat    = flag.Duration("disk-latency", 0, "disk per-read-op latency model, e.g. 2ms (0 = pure bandwidth)")
 		netBW      = flag.Int64("net-bw", 0, "network bandwidth model, bytes/s (0 = unlimited)")
-		prefetch   = flag.Int("prefetch-depth", 0, "sweep-ahead tile prefetch window (0 = auto from the miss ratio, <0 = off)")
+		prefetch   = flag.Int("prefetch-depth", 0, "sweep-ahead tile prefetch window (0 = auto from the miss ratio, <0 = off); only with -concurrent-jobs 1")
 		residency  = flag.String("residency", "auto", "tile residency tier: auto, cached, streaming")
-		rebalance  = flag.Bool("rebalance", true, "migrate tiles off straggling servers between supersteps")
+		rebalance  = flag.Bool("rebalance", true, "migrate tiles off straggling servers between supersteps; only with -concurrent-jobs 1")
 		rebalRatio = flag.Float64("rebalance-ratio", 0, "straggler trigger: server step cost over ratio x cluster mean (0 = 1.3)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint the vertex state every K supersteps for crash recovery (0 = off)")
 		failTO     = flag.Duration("failure-timeout", 0, "declare a server dead after its traffic stalls this long, e.g. 2s (0 = only self-declared crashes)")
-		concJobs   = flag.Int("concurrent-jobs", 1, "run the -program jobs concurrently, up to N in flight (multi-tenant session; <=1 = back-to-back)")
+		concJobs   = flag.Int("concurrent-jobs", 1, "run the -program jobs concurrently, up to N in flight (<=1 = back-to-back, with prefetch and rebalancing)")
 		jsonOut    = flag.Bool("json", false, "emit one api.RunReport JSON document per job instead of the human report — the same schema a graphhd daemon serves")
 	)
 	flag.Parse()

@@ -53,12 +53,12 @@ func main() {
 		diskBW     = flag.Int64("disk-bw", 0, "disk bandwidth model, bytes/s (0 = unthrottled)")
 		diskLat    = flag.Duration("disk-latency", 0, "disk per-read-op latency model (0 = pure bandwidth)")
 		netBW      = flag.Int64("net-bw", 0, "network bandwidth model, bytes/s (0 = unlimited)")
-		prefetch   = flag.Int("prefetch-depth", 0, "sweep-ahead tile prefetch window (0 = auto, <0 = off)")
+		prefetch   = flag.Int("prefetch-depth", 0, "sweep-ahead tile prefetch window (0 = auto, <0 = off); only with -concurrent-jobs 1")
 		residency  = flag.String("residency", "auto", "tile residency tier: auto, cached, streaming")
-		rebalance  = flag.Bool("rebalance", true, "migrate tiles off straggling servers between supersteps")
+		rebalance  = flag.Bool("rebalance", true, "migrate tiles off straggling servers between supersteps; only with -concurrent-jobs 1")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint the vertex state every K supersteps (0 = off)")
 		failTO     = flag.Duration("failure-timeout", 0, "declare a server dead after its traffic stalls this long (0 = off)")
-		concJobs   = flag.Int("concurrent-jobs", 2, "jobs the session runs concurrently (1 = serial)")
+		concJobs   = flag.Int("concurrent-jobs", 2, "jobs the session runs concurrently (1 = one at a time, with prefetch and rebalancing)")
 		queueJobs  = flag.Int("max-queued-jobs", 0, "jobs allowed to wait beyond the concurrency level (0 = library default)")
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, let running jobs finish this long before canceling them")
 		debug      = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
@@ -137,7 +137,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hs := &http.Server{Handler: svc.Handler()}
+	hs := newHTTPServer(svc.Handler())
 
 	// Readiness line: the actual bound address (important with :0 ports),
 	// printed only once the listener exists. Scripts parse this.
@@ -166,6 +166,25 @@ func main() {
 	}
 	<-serveErr // Serve has returned ErrServerClosed
 	fmt.Println("graphhd: drained, session closed")
+}
+
+// HTTP connection timeouts. readHeaderTimeout bounds how long a client may
+// take to send its request headers, so a slow-loris client cannot hold a
+// connection open; idleTimeout closes keep-alive connections that sit idle.
+// There is deliberately no write timeout: it would cut off the long-lived
+// NDJSON progress streams, which stay open for a whole job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around its handler.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func loadGraph(in, dataset string, scale float64) (*graphh.Graph, error) {

@@ -221,9 +221,10 @@ var (
 	// three admission failures distinctly ("shutting down" vs "crashed"
 	// vs "overloaded") with errors.Is.
 	ErrSessionClosed = core.ErrSessionClosed
-	// ErrJobQueueFull marks Submits a multi-tenant session sheds because
-	// MaxConcurrentJobs jobs are running and the admission queue is at
-	// capacity. Nothing was enqueued; retry later or raise MaxQueuedJobs.
+	// ErrJobQueueFull marks Submits a session sheds because every run slot
+	// (MaxConcurrentJobs, at least one) is busy and the admission queue is
+	// at capacity. Nothing was enqueued; retry later or raise
+	// MaxQueuedJobs.
 	ErrJobQueueFull = core.ErrJobQueueFull
 	// ErrJoinTimeout marks a Session.Join whose handshake was never
 	// admitted by a live server before the deadline.
@@ -323,8 +324,10 @@ type Options struct {
 	// PrefetchDepth sizes the sweep-ahead tile prefetch window: 0 (the
 	// default) sizes it automatically from the expected miss ratio — a
 	// full-residency cache prefetches nothing — and a negative value
-	// disables prefetching. Results are bit-identical either way; the
-	// window only changes where tile bytes come from.
+	// disables prefetching. Prefetch applies only to one-slot sessions
+	// (MaxConcurrentJobs ≤ 1); with more slots it is off whatever this
+	// says. Results are bit-identical either way; the window only changes
+	// where tile bytes come from.
 	PrefetchDepth int
 	// Residency selects the tile-residency tier: ResidencyAuto (default)
 	// keeps the edge cache in the loop while the budget earns hits and
@@ -352,9 +355,11 @@ type Options struct {
 	// positive value is a static override.
 	SendQueueCap int
 	// DisableRebalance turns off the superstep-boundary tile rebalancer.
-	// By default (multi-server, All-in-All) the engine measures per-tile
-	// compute time and migrates tiles off a straggling server between
-	// supersteps; results are bit-identical either way, so the knob exists
+	// By default (multi-server, All-in-All, one-slot session) the engine
+	// measures per-tile compute time and migrates tiles off a straggling
+	// server between supersteps. Rebalancing applies only to one-slot
+	// sessions (MaxConcurrentJobs ≤ 1); with more slots it is off whatever
+	// this says. Results are bit-identical either way, so the knob exists
 	// for ablation and for pinning an assignment under study.
 	DisableRebalance bool
 	// RebalanceRatio overrides the straggler trigger: rebalance when a
@@ -368,19 +373,20 @@ type Options struct {
 	// replication and disables the rebalancer for checkpointed jobs.
 	// Per-job override: RunOptions.CheckpointEvery.
 	CheckpointEvery int
-	// MaxConcurrentJobs, when > 1, makes the session multi-tenant: up to
-	// that many Submits run interleaved over the shared tile stores and
-	// caches, each tagged with a per-job ID so their wire traffic,
-	// barriers and checkpoints never alias. Two jobs sweeping the same
-	// graph share tile disk reads (single-flight cache loads plus the
-	// cross-job share window); fairness at superstep edges is weighted
-	// round-robin over RunOptions.Weight. Values ≤ 1 keep the classic
-	// serial session. Multi-tenant sessions run without the sweep-ahead
-	// prefetcher and the dynamic rebalancer.
+	// MaxConcurrentJobs is the session's run-slot count: up to that many
+	// Submits run interleaved over the shared tile stores and caches, each
+	// tagged with a per-job ID so their wire traffic, barriers and
+	// checkpoints never alias. Two jobs sweeping the same graph share tile
+	// disk reads (single-flight cache loads plus the cross-job share
+	// window); fairness at superstep edges is weighted round-robin over
+	// RunOptions.Weight. Values ≤ 1 mean one slot: jobs run one at a time.
+	// The sweep-ahead prefetcher (PrefetchDepth) and the rebalancer
+	// (DisableRebalance) run only in one-slot sessions.
 	MaxConcurrentJobs int
 	// MaxQueuedJobs bounds how many Submits may wait for admission when
-	// MaxConcurrentJobs jobs are already running; further Submits fail
-	// fast with ErrJobQueueFull. 0 picks a bound from the run level.
+	// every run slot is busy — in a one-slot session, while any job runs;
+	// further Submits fail fast with ErrJobQueueFull. 0 picks a bound
+	// from the slot count.
 	MaxQueuedJobs int
 	// FailureTimeout arms the failure detector: a server whose barrier
 	// vote or update traffic stalls this long is declared dead by the
@@ -476,10 +482,10 @@ type RunOptions struct {
 	// 0 inherits, negative disables checkpointing for this job, positive
 	// checkpoints every that-many supersteps.
 	CheckpointEvery int
-	// Weight is this job's weighted-round-robin share in a multi-tenant
-	// session (Options.MaxConcurrentJobs > 1): at contended superstep
-	// edges a weight-2 job is serviced twice as often as a weight-1 job.
-	// 0 or negative means 1; serial sessions ignore it.
+	// Weight is this job's weighted-round-robin share: at contended
+	// superstep edges a weight-2 job is serviced twice as often as a
+	// weight-1 job, and in the admission queue heavier jobs overtake
+	// lighter ones. 0 or negative means 1.
 	Weight int
 }
 
@@ -490,12 +496,13 @@ type RunOptions struct {
 // with zero re-partitioning and cache epochs carried across jobs), and
 // Close it when done.
 //
-// A Session is safe for concurrent use. By default jobs serialize (the BSP
-// superstep loop owns the whole cluster while it runs); opened with
-// Options.MaxConcurrentJobs > 1 the session is multi-tenant instead — up to
-// that many Submits interleave superstep-by-superstep, sharing tile disk
-// reads, with weighted round-robin fairness and identical (bit-for-bit)
-// per-job results either way.
+// A Session is safe for concurrent use. It has max(1,
+// Options.MaxConcurrentJobs) run slots: by default one, so jobs run one at
+// a time (the BSP superstep loop owns the whole cluster while it runs);
+// with more, up to that many Submits interleave superstep-by-superstep,
+// sharing tile disk reads, with weighted round-robin fairness and
+// identical (bit-for-bit) per-job results either way. Submits beyond the
+// slots wait in a bounded queue (Options.MaxQueuedJobs).
 type Session struct {
 	s *core.Session
 }

@@ -99,7 +99,7 @@ type Config struct {
 	InboxCapacity int
 	// FailureTimeout, if positive, enables failure detection: a barrier
 	// waiter that sees no progress for this long accuses the non-arrived
-	// nodes, and the stall-aware receive paths (RecvStreamWhile) report
+	// nodes, and the stall-aware receive path (RecvStreamOwned) reports
 	// ErrRecvStall after an inter-message gap of this length. Zero disables
 	// detection, restoring the block-forever behaviour.
 	FailureTimeout time.Duration
@@ -236,6 +236,10 @@ func putWireBuf(h *[]byte) {
 	}
 }
 
+// ReleaseWireBuf hands a payload holder received from RecvStreamOwned back
+// to the receive pool. nil is a no-op.
+func ReleaseWireBuf(h *[]byte) { putWireBuf(h) }
+
 // Cluster is a set of N simulated server nodes.
 type Cluster struct {
 	cfg   Config
@@ -276,19 +280,12 @@ type Cluster struct {
 	// CtlPoll.
 	ctlQ []chan []byte
 
-	// stash holds data frames a CtlProbe pulled off the transport while
-	// hunting for control frames; recvMsgStall re-consumes them in FIFO
-	// order before touching the transport again, so a probe never loses or
-	// reorders ordinary traffic.
-	stashMu []sync.Mutex
-	stash   [][]message
-
 	// wireHook, when set, vets every outbound cross-node frame — the
 	// fault-injection hook. Called from transport-writing goroutines, so it
 	// must be safe for concurrent use.
 	wireHook atomic.Value // func(from, to, size int) WireAction
 
-	// jobBars holds one barrier per in-flight job of a multi-tenant session,
+	// jobBars holds one barrier per in-flight job of a session,
 	// keyed by job ID and created lazily on first use. Guarded by membMu so
 	// creation, deposal on a death, and the break-on-abort sweep can never
 	// miss each other; jobsBroken makes barriers created after an abort be
@@ -320,8 +317,6 @@ func New(cfg Config) (*Cluster, error) {
 		alive:    make([]atomic.Bool, cfg.NumNodes),
 		acked:    make([]atomic.Uint64, cfg.NumNodes),
 		ctlQ:     make([]chan []byte, cfg.NumNodes),
-		stashMu:  make([]sync.Mutex, cfg.NumNodes),
-		stash:    make([][]message, cfg.NumNodes),
 		jobBars:  make(map[uint32]*reusableBarrier),
 	}
 	for i := range c.ctlQ {
@@ -660,13 +655,9 @@ func (n *Node) recvMsgStall(cancel <-chan struct{}, stall <-chan time.Time) (mes
 		if n.c.epochAt.Load() != n.c.acked[n.id].Load() {
 			return message{}, ErrMembershipChanged
 		}
-		m, ok := n.takeStashed()
-		if !ok {
-			var err error
-			m, err = n.c.tr.recv(n.id, cancel, membCh, stall)
-			if err != nil {
-				return message{}, err
-			}
+		m, err := n.c.tr.recv(n.id, cancel, membCh, stall)
+		if err != nil {
+			return message{}, err
 		}
 		if m.ctl {
 			// Divert control frames before the dead-sender filter: a join
@@ -743,13 +734,16 @@ func (n *Node) RecvN(count int) ([][]byte, []int, error) {
 	return payloads, froms, nil
 }
 
-// RecvStreamWhile receives messages until fn reports it is done, with the
+// RecvStreamOwned receives messages until fn reports it is done, with the
 // failure-detection timeout armed between messages: when FailureTimeout is
 // positive and no message arrives for that long, the stream stops with
 // ErrRecvStall and the caller — who knows which peers still owe traffic —
-// decides whom to accuse. Payload buffers are recycled after each callback
-// (fn must not retain them). A nil ctx blocks without cancellation.
-func (n *Node) RecvStreamWhile(ctx context.Context, fn func(from int, payload []byte) (done bool, err error)) error {
+// decides whom to accuse. A nil ctx blocks without cancellation. fn owns
+// each payload together with its pooled holder, so a demultiplexer can
+// queue frames for another goroutine without copying them; the holder goes
+// back with ReleaseWireBuf once the bytes are consumed (a holder never
+// handed back is simply garbage collected).
+func (n *Node) RecvStreamOwned(ctx context.Context, fn func(from int, payload []byte, holder *[]byte) (done bool, err error)) error {
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
@@ -779,8 +773,7 @@ func (n *Node) RecvStreamWhile(ctx context.Context, fn func(from int, payload []
 			}
 			timer.Reset(gap)
 		}
-		done, err := fn(m.from, m.payload)
-		putWireBuf(m.pool)
+		done, err := fn(m.from, m.payload, m.pool)
 		if err != nil {
 			return err
 		}
@@ -855,55 +848,6 @@ func (n *Node) CtlPoll() []byte {
 	default:
 		return nil
 	}
-}
-
-// CtlProbe drains every frame already delivered to this node's transport
-// inbox without blocking, diverting control frames into the control queue
-// and stashing ordinary data frames for the next recv (FIFO order is
-// preserved — recvMsgStall consumes the stash before the transport). A
-// live server parked at a superstep edge has no receive loop running on
-// its behalf, so this is how a joiner's handshake frames become visible to
-// its CtlPoll.
-func (n *Node) CtlProbe() {
-	// A pre-fired stall timer makes each recv hand over only a frame that
-	// has already arrived (pending messages win over a stall), and return
-	// ErrRecvStall the moment the inbox is empty.
-	fired := make(chan time.Time, 1)
-	for {
-		// Re-arm every iteration: a recv that grabs a pending message from
-		// inside the stall case consumes the timer value along the way.
-		select {
-		case fired <- time.Time{}:
-		default:
-		}
-		m, err := n.c.tr.recv(n.id, nil, nil, fired)
-		if err != nil {
-			return // inbox empty (or transport closing): nothing to divert
-		}
-		if m.ctl {
-			n.c.pushCtl(n.id, m.payload)
-			putWireBuf(m.pool)
-			continue
-		}
-		n.c.stashMu[n.id].Lock()
-		n.c.stash[n.id] = append(n.c.stash[n.id], m)
-		n.c.stashMu[n.id].Unlock()
-	}
-}
-
-// takeStashed pops the oldest frame a CtlProbe set aside, if any.
-func (n *Node) takeStashed() (message, bool) {
-	n.c.stashMu[n.id].Lock()
-	defer n.c.stashMu[n.id].Unlock()
-	q := n.c.stash[n.id]
-	if len(q) == 0 {
-		return message{}, false
-	}
-	m := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = message{}
-	n.c.stash[n.id] = q[:len(q)-1]
-	return m, true
 }
 
 // CtlRecv blocks until a control frame arrives for this node or the
@@ -990,14 +934,6 @@ func (n *Node) BarrierVote(flag bool) bool {
 	return d
 }
 
-// BarrierErr is Barrier with failure detection: it returns
-// ErrMembershipChanged when a member died (or this node was fenced) and the
-// caller must re-acknowledge the view before synchronizing again.
-func (n *Node) BarrierErr() error {
-	_, err := n.BarrierVoteErr(false)
-	return err
-}
-
 // BarrierVoteErr is BarrierVote with failure detection. When
 // FailureTimeout is set and some member never arrives, the lowest-ranked
 // waiting member accuses and deposes the absentees; every waiter then
@@ -1058,8 +994,8 @@ func (n *Node) JobBarrierVoteEpoch(job uint32, flag bool, acked uint64) (bool, e
 
 // MembershipInterrupt returns a channel closed at the next membership
 // declaration. Combined with MembershipStale it lets receive loops that
-// block on something other than the transport (a multi-tenant session's
-// per-job mailboxes) honor the same membership contract as recvMsgStall:
+// block on something other than the transport (a session's per-job
+// mailboxes) honor the same membership contract as recvMsgStall:
 // load the channel first, then check staleness — a declaration landing
 // between the two either closes the loaded channel or is seen by the check.
 func (n *Node) MembershipInterrupt() <-chan struct{} {

@@ -35,6 +35,14 @@ type Sender struct {
 	free   chan *Buf
 	wg     sync.WaitGroup
 
+	// stalls and hiWater are this Sender's own backpressure record — the
+	// enqueues that found their queue full, and the deepest queue seen —
+	// so a caller sizing its queues reads only its own traffic, never
+	// another Sender's on the same node. The node-wide Metrics count both
+	// too.
+	stalls  atomic.Int64
+	hiWater atomic.Int64
+
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending int   // enqueued messages not yet written
@@ -152,10 +160,13 @@ func (s *Sender) enqueue(b *Buf, to int, broadcast bool) error {
 		select {
 		case q <- b:
 		default:
+			s.stalls.Add(1)
 			c.stalls[id].Add(1)
 			q <- b
 		}
-		atomicMaxInt64(&c.queueHi[id], int64(len(q)))
+		depth := int64(len(q))
+		atomicMaxInt64(&s.hiWater, depth)
+		atomicMaxInt64(&c.queueHi[id], depth)
 		c.enqueued[id].Add(1)
 	}
 	return nil
@@ -191,6 +202,14 @@ func (s *Sender) drain(to int, q chan *Buf) {
 		}
 	}
 }
+
+// Stalls returns how many enqueues on this Sender found their destination
+// queue full and blocked.
+func (s *Sender) Stalls() int64 { return s.stalls.Load() }
+
+// QueueHighWater returns the deepest any of this Sender's destination
+// queues has been right after an enqueue.
+func (s *Sender) QueueHighWater() int64 { return s.hiWater.Load() }
 
 // Flush blocks until every enqueued message has been handed to the
 // transport — written to the peer's socket or delivered to its inbox — and

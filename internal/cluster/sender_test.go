@@ -306,6 +306,69 @@ func TestSenderQueueMetrics(t *testing.T) {
 	}
 }
 
+// TestSenderStallsArePerSender: two Senders on one node — the engine's
+// concurrent job runners — each count only their own backpressure. A
+// capacity-1 Sender to a slow receiver stalls; a roomy Sender running at
+// the same time on the same node must report no stalls of its own, while
+// the node-wide metrics see them all.
+func TestSenderStallsArePerSender(t *testing.T) {
+	c, err := New(Config{NumNodes: 2, InboxCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const tight, roomy = 30, 5
+	var stalledTight, stalledRoomy, hiRoomy int64
+	err = c.Run(func(n *Node) error {
+		if n.ID() == 1 {
+			for m := 0; m < tight+roomy; m++ {
+				time.Sleep(time.Millisecond)
+				if _, _, err := n.Recv(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		send := func(s *Sender, count int) error {
+			defer s.Close()
+			for m := 0; m < count; m++ {
+				b := s.Acquire()
+				b.Data = append(b.Data[:0], byte(m))
+				if err := s.Send(1, b); err != nil {
+					return err
+				}
+			}
+			return s.Flush()
+		}
+		a, b := n.NewSender(1), n.NewSender(64)
+		errA := make(chan error, 1)
+		go func() { errA <- send(a, tight) }()
+		if err := send(b, roomy); err != nil {
+			return err
+		}
+		if err := <-errA; err != nil {
+			return err
+		}
+		stalledTight, stalledRoomy, hiRoomy = a.Stalls(), b.Stalls(), b.QueueHighWater()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stalledTight == 0 {
+		t.Fatal("capacity-1 sender to a slow receiver recorded no stalls")
+	}
+	if stalledRoomy != 0 {
+		t.Fatalf("roomy sender reports %d stalls; they belong to the other sender", stalledRoomy)
+	}
+	if hiRoomy > roomy {
+		t.Fatalf("roomy sender's high water %d exceeds the %d messages it sent", hiRoomy, roomy)
+	}
+	if m := c.NodeMetrics(0); m.SendStalls != stalledTight {
+		t.Fatalf("node-wide SendStalls = %d, want the tight sender's %d", m.SendStalls, stalledTight)
+	}
+}
+
 // TestRecvStreamCallbackError checks a callback error stops the stream and
 // surfaces unchanged.
 func TestRecvStreamCallbackError(t *testing.T) {

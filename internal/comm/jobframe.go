@@ -5,19 +5,18 @@ import (
 	"fmt"
 )
 
-// Job-ID envelope (multi-tenant sessions). When a session interleaves more
-// than one job over a single cluster inbox, every per-job frame — step-tagged
-// update batches, recovery markers, collect batches — is prefixed with a
-// five-byte envelope naming the job it belongs to:
+// Job-ID envelope. A session runs its jobs over a single cluster inbox per
+// server, so every per-job frame — step-tagged update batches, rebalance
+// messages, recovery markers, streamed checkpoints, collect batches — is
+// prefixed with a five-byte envelope naming the job it belongs to:
 //
 //	[0xBA][job ID, uint32 LE][inner frame ...]
 //
 // The envelope extends the step-byte framing from the checkpointing PR one
 // level up: the step byte stops a replayed frame from aliasing a live step
 // *within* a job, and the job header stops job A's traffic from ever aliasing
-// job B's, whatever the inner payload looks like. Serial sessions (at most
-// one job in flight) never wrap frames, so the single-job wire format is
-// byte-for-byte unchanged.
+// job B's, whatever the inner payload looks like. A session with one run
+// slot frames its jobs the same way.
 
 // JobFrameMagic is the first byte of every job-enveloped frame. It is
 // distinct from every other top-level frame magic on the wire (comm raw
@@ -38,9 +37,9 @@ func AppendJobHeader(dst []byte, job uint32) []byte {
 
 // DecodeJobFrame splits a job-enveloped frame into its job ID and inner
 // payload. The inner slice aliases frame; it is not copied. A frame that is
-// too short or does not start with JobFrameMagic is rejected — in a
-// multi-tenant session an unwrapped frame on the shared inbox is a protocol
-// violation, never something to guess about.
+// too short or does not start with JobFrameMagic is rejected — an
+// unwrapped frame on the shared inbox is a protocol violation, never
+// something to guess about.
 func DecodeJobFrame(frame []byte) (job uint32, inner []byte, err error) {
 	if len(frame) < JobHeaderSize {
 		return 0, nil, fmt.Errorf("comm: job frame truncated: %d bytes, need at least %d", len(frame), JobHeaderSize)

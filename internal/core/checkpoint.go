@@ -30,18 +30,11 @@ const ckptMagic = 0xCC
 // ckptHeaderSize is magic + superstep (u32) + value count (u32) + body CRC.
 const ckptHeaderSize = 1 + 4 + 4 + 4
 
-// ckptBlobName returns the store name of the checkpoint taken after step.
-func ckptBlobName(step int) string { return fmt.Sprintf("ckpt/%08d", step) }
-
-// ckptName is the job-aware blob name: serial sessions keep the classic
-// ckpt/%08d names (one job at a time owns the namespace), multi-tenant
-// runners scope blobs by job ID so two concurrent checkpointed jobs never
-// clobber each other's cuts.
+// ckptName returns the store name of the running job's checkpoint taken
+// after step. Blobs are scoped by job ID, so two concurrent checkpointed
+// jobs never clobber each other's cuts.
 func (s *server) ckptName(step int) string {
-	if s.multi {
-		return fmt.Sprintf("ckpt/j%d-%08d", s.jobID, step)
-	}
-	return ckptBlobName(step)
+	return fmt.Sprintf("ckpt/j%d-%08d", s.jobID, step)
 }
 
 // ckptRetain is how many checkpoints each server keeps. Two, not one:
@@ -146,7 +139,8 @@ func (s *server) lastCkptStep() int {
 	return s.ckptSteps[len(s.ckptSteps)-1]
 }
 
-// clearCheckpoints removes the previous job's checkpoint blobs; each job's
+// clearCheckpoints removes checkpoint blobs an earlier job on this runner
+// left behind (a job that ends normally removes its own); each job's
 // checkpoints are its own (vertex vectors are per-program).
 func (s *server) clearCheckpoints() error {
 	for _, step := range s.ckptSteps {

@@ -58,7 +58,9 @@ type Config struct {
 	// past the current sweep position may be staged by background batched
 	// reads. 0 (default) sizes it automatically from the expected miss
 	// ratio (costmodel.PrefetchDepth — off when the cache holds the whole
-	// working set); a negative value disables prefetching entirely.
+	// working set); a negative value disables prefetching entirely. The
+	// prefetcher runs only in one-slot sessions (MaxConcurrentJobs ≤ 1):
+	// its sweep-position model assumes one job owns the tile order.
 	// Prefetching only changes where tile bytes come from; results are
 	// bit-identical either way.
 	PrefetchDepth int
@@ -96,17 +98,20 @@ type Config struct {
 	Lockstep bool
 	// SendQueueCap bounds each destination's asynchronous send queue in the
 	// pipelined subsystem; full queues backpressure workers. 0 (default)
-	// sizes the queues adaptively: start at 32, double on observed send
-	// stalls, shrink after a sustained quiet spell (costmodel.AdaptQueueCap).
-	// A positive value is a static override.
+	// sizes each job runner's queues adaptively from the stalls its own
+	// sender counts: start at 32, double on observed send stalls, shrink
+	// after a sustained quiet spell (costmodel.AdaptQueueCap). A positive
+	// value is a static override.
 	SendQueueCap int
 	// Rebalance enables the superstep-boundary tile rebalancer (see
 	// rebalance.go and docs/ARCHITECTURE.md): per-tile compute timings feed
 	// a straggler detector on rank 0, and victim tiles migrate off a slow
 	// server between supersteps. RebalanceOff is the zero value;
-	// DefaultConfig selects RebalanceAuto. Requires a multi-server cluster
-	// and All-in-All replication; silently off otherwise. Results are
-	// bit-identical either way.
+	// DefaultConfig selects RebalanceAuto. Requires a multi-server cluster,
+	// All-in-All replication and a one-slot session (MaxConcurrentJobs ≤
+	// 1: a migration under one job would break the counted receives of
+	// the others); silently off otherwise. Results are bit-identical
+	// either way.
 	Rebalance RebalanceMode
 	// RebalanceRatio is the straggler trigger: rebalance when a server's
 	// measured step cost exceeds ratio × the cluster mean. 0 means
@@ -139,22 +144,22 @@ type Config struct {
 	// overrides it for one Submit. costmodel.CheckpointEverySteps computes
 	// Young's-formula guidance for this knob.
 	CheckpointEvery int
-	// MaxConcurrentJobs, when > 1, turns the session multi-tenant: up to
-	// that many Submits run interleaved over the shared tile stores and
-	// caches, each tagged with a per-job ID so their wire traffic, barriers
-	// and checkpoints never alias (see docs/ARCHITECTURE.md, "Multi-tenant
-	// scheduling"). Admission beyond the level queues (MaxQueuedJobs);
-	// fairness at step edges is weighted round-robin (JobOptions.Weight).
-	// Values ≤ 1 select the classic serial session; the level is capped at
-	// costmodel.MaxJobSlots. Multi-tenant sessions run without the
-	// sweep-ahead prefetcher and the dynamic rebalancer (both assume one
-	// sweep owns the disk and the ownership table); concurrent jobs instead
-	// share tile reads through the cache's single-flight loads and the
-	// cross-job share window.
+	// MaxConcurrentJobs is the session's run-slot count: up to that many
+	// Submits run interleaved over the shared tile stores and caches, each
+	// tagged with a per-job ID so their wire traffic, barriers and
+	// checkpoints never alias (see docs/ARCHITECTURE.md, "Job execution").
+	// Admission beyond the level queues (MaxQueuedJobs); fairness at step
+	// edges is weighted round-robin (JobOptions.Weight). Values ≤ 1 mean
+	// one slot; the level is capped at costmodel.MaxJobSlots. Only one-slot
+	// sessions run the sweep-ahead prefetcher and the dynamic rebalancer
+	// (both assume one sweep owns the disk and the ownership table);
+	// concurrent jobs instead share tile reads through the cache's
+	// single-flight loads and the cross-job share window.
 	MaxConcurrentJobs int
 	// MaxQueuedJobs bounds how many Submits may wait for admission when
-	// MaxConcurrentJobs jobs are already running; further Submits fail fast
-	// with ErrJobQueueFull. 0 picks costmodel.JobQueueBound.
+	// every run slot is taken — in a one-slot session, while a job is
+	// running; further Submits fail fast with ErrJobQueueFull. 0 picks
+	// costmodel.JobQueueBound.
 	MaxQueuedJobs int
 	// FailureTimeout, when positive, arms the cluster's failure detector:
 	// a server whose barrier vote or update traffic stalls for this long
@@ -380,12 +385,11 @@ func prepareInput(in Input) (*Graph, int, func(i int) ([]byte, error), error) {
 	}
 }
 
-// nodeShared is the state every job runner on one server shares — and, in
-// a serial session, the holder of the server's death flag. One value per
-// simulated server, created by Open before the cluster boots.
+// nodeShared is the state every job runner on one server shares. One value
+// per simulated server, created by Open before the cluster boots.
 type nodeShared struct {
-	// dead marks a killed or fenced server: its job loop (and, in a
-	// multi-tenant session, every runner spawned on it) becomes a zombie.
+	// dead marks a killed or fenced server: every runner on it becomes a
+	// zombie.
 	dead atomic.Bool
 
 	// Zombie-job ledger for elastic membership: every job this dead node
@@ -414,27 +418,18 @@ type nodeShared struct {
 	admit func(rank int) bool
 
 	// joins counts this node's readmissions (elastic membership), a
-	// session-lifetime counter like the I/O totals. It lives here rather
-	// than on the server because in a multi-tenant session the per-job
-	// runner clones must all observe the node's cumulative count.
+	// session-lifetime counter like the I/O totals that every runner's
+	// stats report.
 	joins atomic.Int64
 
-	// Quiesce gate for elastic membership: counts the goroutines that may
-	// still be touching this node's per-job server state — the serial job
-	// loop's runJob call, its pipelined receive goroutine (deliberately
-	// unjoined on hard-error exits), and replacement runners. The join
-	// controller waits for the count to drain before reusing the struct
-	// for a replacement, giving the dying runner's writes a happens-before
-	// edge to the rejoined runner's reads. A hand-rolled gate rather than
-	// a sync.WaitGroup: enters may race waits at count zero (a new job can
-	// start while a revive drains the old one), which WaitGroup forbids.
-	qMu    sync.Mutex
-	qCount int
-	qZero  chan struct{}
+	// runners holds one runner per admission slot, cloned from the node's
+	// server on first use and reused by every later job in that slot.
+	runnersMu sync.Mutex
+	runners   []*server
 
-	// Multi-tenant plumbing, nil in serial sessions. The router pointer is
-	// atomic because a rejoined node gets a fresh router (the old one's done
-	// channel is permanently closed) while zombie runners may still read it.
+	// The router pointer is atomic because a rejoined node gets a fresh
+	// router (the old one's done channel is permanently closed) while zombie
+	// runners may still read it.
 	gate      *stepGate                   // WRR turnstile at superstep edges
 	share     *cache.ShareWindow          // cross-job tile sharing
 	router    atomic.Pointer[frameRouter] // inbox demultiplexer
@@ -442,47 +437,55 @@ type nodeShared struct {
 	recoverMu sync.Mutex                  // serializes tile reconciliation across runners
 }
 
-// quiesceEnter registers a goroutine that touches this node's per-job
-// server state; pair with quiesceExit.
-func (sh *nodeShared) quiesceEnter() {
-	sh.qMu.Lock()
-	if sh.qCount == 0 {
-		sh.qZero = make(chan struct{})
-	}
-	sh.qCount++
-	sh.qMu.Unlock()
+// quiesceGate counts the goroutines that may still be touching one runner's
+// per-job state: its runJob call and that call's pipelined receive
+// goroutine, which is deliberately left unjoined when the runner dies or
+// hits a hard error (the membership interrupt or the cluster abort ends
+// it). A runner waits the gate out before starting a job, giving a killed
+// predecessor's writes a happens-before edge to its reads. Hand-rolled
+// rather than a sync.WaitGroup: enters may race waits at count zero, which
+// WaitGroup forbids.
+type quiesceGate struct {
+	mu    sync.Mutex
+	count int
+	zero  chan struct{}
 }
 
-func (sh *nodeShared) quiesceExit() {
-	sh.qMu.Lock()
-	sh.qCount--
-	if sh.qCount == 0 {
-		close(sh.qZero)
+func (q *quiesceGate) enter() {
+	q.mu.Lock()
+	if q.count == 0 {
+		q.zero = make(chan struct{})
 	}
-	sh.qMu.Unlock()
+	q.count++
+	q.mu.Unlock()
 }
 
-// quiesceWait blocks until every registered goroutine has exited. The join
-// controller calls it on a dead node before spawning replacement runners:
-// a crash-killed runner's receive goroutine unwinds on its own schedule
-// (transport error or membership interrupt), and until it does, it still
-// owns the node's receive scratch and transport inbox.
-func (sh *nodeShared) quiesceWait() {
-	sh.qMu.Lock()
-	if sh.qCount == 0 {
-		sh.qMu.Unlock()
+func (q *quiesceGate) exit() {
+	q.mu.Lock()
+	q.count--
+	if q.count == 0 {
+		close(q.zero)
+	}
+	q.mu.Unlock()
+}
+
+// wait blocks until every registered goroutine has exited.
+func (q *quiesceGate) wait() {
+	q.mu.Lock()
+	if q.count == 0 {
+		q.mu.Unlock()
 		return
 	}
-	ch := sh.qZero
-	sh.qMu.Unlock()
+	ch := q.zero
+	q.mu.Unlock()
 	<-ch
 }
 
 // server is the per-node execution state of one session: the long-lived
-// tile store, cache, metadata and scratch buffers, plus the per-job fields
-// runJob re-points at every Submit. In a multi-tenant session a server
-// value is additionally cloned per admitted job (jobRunner): the clones
-// share the session-lifetime state and diverge in everything per-job.
+// tile store, cache and metadata, plus the per-job fields runJob re-points
+// at every Submit. The node's server is set up once and then cloned into
+// one runner per admission slot (slotRunner): the runners share the
+// session-lifetime state and own everything a BSP loop writes.
 type server struct {
 	cfg   Config
 	node  *cluster.Node
@@ -531,11 +534,13 @@ type server struct {
 
 	// Adaptive send-queue sizing state: the current per-destination
 	// capacity, whether the engine may resize it (SendQueueCap == 0), the
-	// stall counter at the last adjustment, and how many consecutive
+	// current sender's stall count at the last adjustment, the deepest
+	// queue any of this runner's senders reached, and how many consecutive
 	// adjustments saw zero stalls.
 	queueCap      int
 	adaptiveQueue bool
 	lastStalls    int64
+	hiWater       int64
 	quietSteps    int
 
 	// rebal is the dynamic tile rebalancer (nil when off); tilesIn/Out
@@ -544,10 +549,11 @@ type server struct {
 	tilesIn  int
 	tilesOut int
 
-	// pf is the sweep-ahead tile prefetcher (nil when off); pfDepth its
-	// window; residency the resolved tile-residency tier. All three are
-	// session-lifetime — the prefetcher's reader workers and staged-tile
-	// pools stay warm across jobs.
+	// pf is the sweep-ahead tile prefetcher (nil when off, always nil in a
+	// session with more than one slot); pfDepth its window; residency the
+	// resolved tile-residency tier. All three are session-lifetime — the
+	// prefetcher's reader workers and staged-tile pools stay warm across
+	// jobs.
 	pf        *prefetcher
 	pfDepth   int
 	residency ResidencyMode
@@ -564,7 +570,7 @@ type server struct {
 	// protocol; recvdFrom and seenTiles are per-step receive tallies (a
 	// distinct-tile bitset defeats duplicated frames); faults is the
 	// compiled fault plan; shared.dead marks a killed or fenced server (its
-	// job loop becomes a zombie).
+	// runners become zombies).
 	workRoot  string
 	baseOwner []int
 	curOwner  []int
@@ -574,18 +580,19 @@ type server struct {
 	faults    *compiledFaults
 	shared    *nodeShared
 
-	// Multi-tenant runner identity, zero on serial servers: the job's wire
-	// tag, its share-window slot bit, its WRR weight, its mailbox from the
-	// frame router, this runner's privately acknowledged membership epoch,
-	// and the count of tiles taken from the share window instead of disk.
-	multi      bool
+	// Runner identity: the job's wire tag, its share-window slot bit, its
+	// WRR weight, its mailbox from the frame router, this runner's privately
+	// acknowledged membership epoch, the count of tiles taken from the share
+	// window instead of disk, and the quiesce gate.
 	jobID      uint32
 	slotBit    uint64
 	jobWeight  int
 	rtr        *frameRouter // the router this runner registered with
 	mailbox    *jobMailbox
 	ackedEpoch uint64
+	joinsSeen  int64 // shared.joins when this runner's job started
 	shareHits  int64
+	q          quiesceGate
 
 	// Per-job checkpoint/recovery state: the effective interval, the blob
 	// encode buffer, the retained checkpoint steps, the marker-exchange
@@ -605,78 +612,92 @@ type server struct {
 	needCkpt bool
 }
 
-// runJob executes one submitted program on this server: per-job state is
+// runJob executes one submitted program on this runner: per-job state is
 // reset (vertex values, halt votes, migration counters, send queues), the
 // superstep loop runs against the warm tile store and cache, and on
 // success the result is collected and the per-server statistics filled.
-// The returned error is nil for both success and cancellation — a
-// cancelled job leaves the session healthy — and non-nil only for hard
-// errors that abort the whole session.
-func (s *server) runJob(jb *job) (fatal error) {
-	if s.claimIfZombie(jb) {
-		// A killed or fenced server is a zombie: it consumes submissions
-		// so Submit's fan-out never blocks, but contributes nothing. The
-		// survivors fill the result; if the server rejoins mid-job, the
-		// join controller reads the claim and spawns a replacement runner.
+// rejoin marks a replacement runner on a server readmitted while the job
+// is in flight (reviveLocked): instead of starting at step 0 it enters the
+// recovery protocol needy — advertising that it holds no state, receiving
+// the consensus checkpoint from a donor, re-adopting its own tiles — and
+// replays from restore+1. The returned error is nil for success,
+// cancellation and this server's own death — the session stays healthy —
+// and non-nil only for hard errors that abort the whole session.
+func (s *server) runJob(jb *job, rejoin bool) error {
+	if !rejoin && s.claimIfZombie(jb) {
+		// A killed or fenced server is a zombie: it consumes submissions so
+		// the fan-out completes, but contributes nothing. The survivors fill
+		// the result; if the server rejoins mid-job, the join controller
+		// reads the claim and spawns a replacement runner.
 		return nil
 	}
-	degradedStart := false
-	if !s.multi && s.node.MembershipStale() {
-		// The membership changed since this node last acknowledged it — a
-		// death detected after the previous job's final barrier, a rejoin
-		// admitted while the session was idle, or a declaration racing this
-		// very job's start (a sibling runner can enter, reach superstep 0
-		// and crash before this runner executes its entry block; the
-		// survivors that entered earlier are then already parked inside
-		// recoverFromFailure). When the job can recover, converge through
-		// the same protocol those siblings are running — a silent local
-		// reconcile here would leave them waiting at the recovery barrier
-		// until a timeout falsely fences this server. A job without the
-		// recovery protocol (no checkpointing, or not All-in-All) cannot
-		// have siblings parked there, so the stale view is necessarily a
-		// between-jobs change every runner observes at entry: acknowledge
-		// and converge the tile holdings locally before any counted
-		// receive derives its expectations from them.
-		_, alive := s.node.AckMembership()
-		if !alive[s.node.ID()] {
-			_ = s.die(true)
-			s.markZombie(jb)
-			return nil
-		}
-		if jb.ckptEvery > 0 && s.cfg.Replication == AllInAll && s.node.NumNodes() > 1 {
-			degradedStart = true
-		} else if err := s.reconcileTiles(alive); err != nil {
-			jb.errs[s.node.ID()] = err
-			return err
-		}
-	}
-	if s.multi {
-		// Pin this runner's membership view before any traffic: the epoch
-		// is the runner's private staleness reference (sibling runners ack
-		// the node-level one). A cluster that already lost members needs
-		// this job's ownership table reconciled to the survivors — that
-		// runs below, once the per-job plumbing exists, through the same
-		// recovery protocol a mid-job failure uses.
-		epoch, alive := s.node.AckMembership()
-		s.ackedEpoch = epoch
-		if !alive[s.node.ID()] {
-			s.die(true)
-			return nil
-		}
-		live := 0
-		for _, ok := range alive {
-			if ok {
-				live++
-			}
-		}
-		degradedStart = live < s.node.NumNodes()
-	}
+	s.q.wait()
+	s.q.enter()
+	defer s.q.exit()
 	defer func() {
 		// Drop the per-job references on the way out: an idle session must
 		// not pin the finished job's Result vector, the caller's Progress
 		// closure, its context, or the program value.
 		s.prog, s.ctx, s.progress, s.result = nil, nil, nil, nil
+		if s.sender != nil {
+			s.sender.Close()
+			s.sender = nil
+		}
 	}()
+	err := s.execJob(jb, rejoin)
+	me := s.node.ID()
+	var jc jobCancelled
+	switch {
+	case err == nil:
+	case errors.Is(err, errServerKilled):
+		// This server died mid-job (scripted kill or fencing). Its partial
+		// step stats would pollute the merged result, and the session must
+		// stay usable: report nothing, become a zombie.
+		jb.steps[me] = nil
+		s.markZombie(jb)
+	case errors.As(err, &jc):
+		jb.cancels[me] = jc.cause
+	default:
+		jb.errs[me] = err
+		return err
+	}
+	return nil
+}
+
+// execJob is runJob's body; its error return is classified by runJob.
+func (s *server) execJob(jb *job, rejoin bool) error {
+	n := s.node
+	// Pin this runner's membership view before any traffic: the epoch is
+	// the runner's private staleness reference (sibling runners ack the
+	// node-level one).
+	s.joinsSeen = s.shared.joins.Load()
+	alive, err := s.ack()
+	if err != nil {
+		return err
+	}
+	live := 0
+	for _, ok := range alive {
+		if ok {
+			live++
+		}
+	}
+	// A cluster that already lost members converges this job's ownership
+	// table through the recovery protocol, like a mid-job failure: sibling
+	// runners that observed the death mid-step are parked at its barrier,
+	// and a silent local reconcile would leave them waiting until a
+	// timeout falsely fences this server. A replacement runner joins the
+	// protocol the same way.
+	viaRecovery := rejoin || live < n.NumNodes()
+	if !viaRecovery {
+		// A reused runner may still hold the tile view an earlier job's
+		// recovery left behind; converge it to the full membership.
+		if err := s.reconcileTiles(alive); err != nil {
+			return err
+		}
+	}
+	if err := s.clearCheckpoints(); err != nil {
+		return err
+	}
 	s.prog = jb.prog
 	s.ctx = jb.ctx
 	s.maxSteps = jb.maxSteps
@@ -684,14 +705,17 @@ func (s *server) runJob(jb *job) (fatal error) {
 	s.msgCodec = jb.codec
 	s.progress = jb.progress
 	s.result = jb.res
+	s.jobID = jb.id
+	s.slotBit = 1 << uint(jb.slot)
+	s.jobWeight = jb.weight
+	s.rtr = s.shared.router.Load()
+	s.mailbox = s.rtr.register(jb.id)
 	s.tilesIn, s.tilesOut = 0, 0
 	s.ckptEvery = jb.ckptEvery
 	s.ckptCount, s.ckptBytes = 0, 0
 	s.tilesAdopted, s.recoveries, s.recoveryTime = 0, 0, 0
-	if err := s.clearCheckpoints(); err != nil {
-		jb.errs[s.node.ID()] = err
-		return err
-	}
+	atomic.StoreInt64(&s.shareHits, 0)
+	s.needCkpt = rejoin
 	for i := range s.staged {
 		s.staged[i] = s.staged[i][:0]
 	}
@@ -704,10 +728,10 @@ func (s *server) runJob(jb *job) (fatal error) {
 	}
 	s.jobsRun++
 
-	if !s.lockstep && s.node.NumNodes() > 1 {
+	if !s.lockstep && n.NumNodes() > 1 {
 		// The pipelined subsystem is rebuilt per job (a job may opt into
 		// Lockstep), but the adaptive queue capacity carries over so a warm
-		// session keeps its learned sizing.
+		// runner keeps its learned sizing.
 		if s.queueCap <= 0 {
 			s.queueCap = s.cfg.SendQueueCap
 			if s.queueCap <= 0 {
@@ -715,80 +739,38 @@ func (s *server) runJob(jb *job) (fatal error) {
 				s.adaptiveQueue = true
 			}
 		}
-		s.sender = s.node.NewSender(s.queueCap)
-		defer func() {
-			if s.sender != nil {
-				s.sender.Close()
-				s.sender = nil
-			}
-		}()
+		s.startSender()
 	}
 	// The rebalancer and checkpointing are mutually exclusive per job: a
 	// crash mid-migration could lose the only copy of a moving tile, and
 	// recovery's pure-function tile placement assumes the base ownership
-	// table only changes at rebalance boundaries it can see. The gate is
-	// evaluated from per-job knobs and session-stable membership, so it is
-	// identical on every server. A cluster that has already lost members
-	// also runs without the rebalancer: its stats protocol counts on every
-	// rank reporting.
+	// table only changes at rebalance boundaries it can see. It needs the
+	// full membership and a fresh start (its stats protocol counts on every
+	// rank reporting from step 0) and a one-slot session: concurrent jobs
+	// hold independent ownership views, and a migration under one job would
+	// silently break the others' counted receives. Every input is identical
+	// on every server.
 	s.rebal = nil
-	if !s.multi && s.ckptEvery == 0 && s.node.AliveCount() == s.node.NumNodes() {
-		// (Multi-tenant sessions never rebalance: concurrent jobs hold
-		// independent ownership views, and a migration under one job would
-		// silently break the others' counted receives.)
-		s.rebal = newRebalancer(s.cfg, s.node.NumNodes())
+	if s.cfg.MaxConcurrentJobs == 1 && s.ckptEvery == 0 && !viaRecovery {
+		s.rebal = newRebalancer(s.cfg, n.NumNodes())
 	}
 
-	if degradedStart {
-		// The cluster was already degraded when this runner acked its
-		// membership view. Sibling runners of the same job may have started
-		// earlier and observed the death mid-step instead — those are now
-		// inside recoverFromFailure, parked at the job's recovery barrier.
-		// A silent local reconcile would leave them waiting until a timeout
-		// falsely fences this server, so a degraded start converges through
-		// the same protocol: barrier, marker exchange, reconcile, restore.
-		if _, err := s.recoverFromFailure(); err != nil {
-			if errors.Is(err, errServerKilled) {
-				jb.steps[s.node.ID()] = nil
-				s.markZombie(jb)
-				return nil
-			}
-			jb.errs[s.node.ID()] = err
+	start := 0
+	if viaRecovery {
+		restore, err := s.recoverFromFailure()
+		if err != nil {
 			return err
 		}
+		start = restore + 1
 	}
-
 	loopStart := time.Now()
-	steps, err := s.superstepLoop()
-	jb.steps[s.node.ID()] = steps
+	steps, err := s.superstepLoop(start)
+	jb.steps[n.ID()] = steps
 	if err != nil {
-		if errors.Is(err, errServerKilled) {
-			// This server died mid-job (scripted kill or fencing). Its
-			// partial step stats would pollute the merged result, and the
-			// session must stay usable: report nothing, become a zombie.
-			jb.steps[s.node.ID()] = nil
-			s.markZombie(jb)
-			return nil
-		}
-		var jc jobCancelled
-		if errors.As(err, &jc) {
-			jb.cancels[s.node.ID()] = jc.cause
-			return nil
-		}
-		jb.errs[s.node.ID()] = err
 		return err
 	}
 	atomicMax(&jb.loopMax, int64(time.Since(loopStart)))
-
 	if err := s.collectResult(); err != nil {
-		if errors.Is(err, errServerKilled) {
-			// Fenced during result assembly: same zombie exit as a mid-loop
-			// death — the partial stats are dropped, survivors fill the rest.
-			jb.steps[s.node.ID()] = nil
-			s.markZombie(jb)
-			return nil
-		}
-		jb.errs[s.node.ID()] = err
 		return err
 	}
 	if s.pf != nil {
@@ -797,15 +779,13 @@ func (s *server) runJob(jb *job) (fatal error) {
 		// job starts clean.
 		s.pf.drain()
 	}
-	if s.multi {
-		// Job-scoped checkpoints die with the job. Best-effort: a removal
-		// error cannot fail a job that already produced its result, and the
-		// blobs are uniquely named, so leaks die with the work directory.
-		for _, step := range s.ckptSteps {
-			_ = s.store.Remove(s.ckptName(step))
-		}
-		s.ckptSteps = s.ckptSteps[:0]
+	// Job-scoped checkpoints die with the job. Best-effort: a removal error
+	// cannot fail a job that already produced its result, and the blobs are
+	// uniquely named, so leaks die with the work directory.
+	for _, step := range s.ckptSteps {
+		_ = s.store.Remove(s.ckptName(step))
 	}
+	s.ckptSteps = s.ckptSteps[:0]
 	s.fillServerStats()
 	return nil
 }
@@ -1038,13 +1018,13 @@ func (s *server) setup() error {
 
 	// Sweep-ahead prefetch window: sized from the expected miss ratio (a
 	// full-residency cache needs none), or forced by the knob. The
-	// prefetcher and its reader workers live for the whole session.
+	// prefetcher and its reader workers live for the whole session, handed
+	// to the slot's runner. Only a one-slot session runs one: its
+	// sweep-position model assumes one job owns the tile order, and
+	// concurrent sweeps would evict each other's staging. Cross-job reuse
+	// comes from the single-flight cache loads and the share window instead.
 	depth := s.cfg.PrefetchDepth
 	if s.cfg.MaxConcurrentJobs > 1 {
-		// Multi-tenant sessions run without the prefetcher: its sweep-position
-		// model assumes one job owns the tile order, and concurrent sweeps
-		// would evict each other's staging. Cross-job reuse comes from the
-		// single-flight cache loads and the share window instead.
 		depth = -1
 	}
 	if depth == 0 {
@@ -1072,24 +1052,19 @@ func (s *server) setup() error {
 
 // superstepLoop is Algorithm 5 lines 5–22, plus the superstep-boundary
 // rebalance phase (rebalance.go) and adaptive send-queue resizing between
-// the BSP barriers. It is re-entrant per session: every per-job quantity —
-// halt votes, the updated-vertex list, step stats — lives in locals or in
-// fields runJob reset, while tiles, cache and scratch stay warm.
+// the BSP barriers, starting at the given step — 0 for a fresh job,
+// restore+1 for a replacement runner replaying into a job already in
+// flight (the steps it appends carry their true Superstep numbers). It is
+// re-entrant per session: every per-job quantity — halt votes, the
+// updated-vertex list, step stats — lives in locals or in fields runJob
+// reset, while tiles, cache and scratch stay warm.
 //
 // Cancellation is decided at the step-end barrier: each server votes its
 // context's state, and the OR of the votes aborts all servers at the same
 // step edge with no update traffic left in flight (the vote barrier is the
 // same barrier that already guarantees every batch of the step has been
 // absorbed).
-func (s *server) superstepLoop() ([]StepStats, error) {
-	return s.superstepLoopFrom(0)
-}
-
-// superstepLoopFrom runs the superstep loop starting at the given step — 0
-// for a fresh job, restore+1 for a rejoined server replaying into a job
-// already in flight (its earlier steps ran on the cluster before it was
-// readmitted; the steps it appends carry their true Superstep numbers).
-func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
+func (s *server) superstepLoop(start int) ([]StepStats, error) {
 	n := s.node
 	encOpts := comm.Options{
 		Choice:            s.cfg.Comm,
@@ -1105,12 +1080,10 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 	var updatedBuf []uint32
 
 	for step := start; step < s.maxSteps; step++ {
-		if s.multi {
-			// WRR turnstile: among the jobs waiting to start a step on this
-			// server, the smallest (step+1)/weight key goes first. A job
-			// mid-step is not waiting and is never throttled here.
-			s.shared.gate.arrive(s.jobID, s.jobWeight, step)
-		}
+		// WRR turnstile: among the jobs waiting to start a step on this
+		// server, the smallest (step+1)/weight key goes first. A job mid-step
+		// is not waiting and is never throttled here.
+		s.shared.gate.arrive(s.jobID, s.jobWeight, step)
 		if step > start {
 			// Superstep boundary: one full cyclic sweep over the assigned
 			// tiles has completed. The CLOCK eviction policy keys its
@@ -1187,8 +1160,8 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 		s.awaitRejoin(done)
 	}
 	s.pollJoinRequests()
-	if k, ok := s.faults.killAt(n.ID(), step, KillAtStepStart); ok {
-		return st, 0, nil, false, s.die(k.Hang)
+	if err := s.killAt(step, KillAtStepStart); err != nil {
+		return st, 0, nil, false, err
 	}
 	stepStart := time.Now()
 	// Wire accounting multiplies each batch by the live peer count; dead
@@ -1201,23 +1174,17 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	var recvErr chan error
 	if s.sender != nil && s.stepExpected() > 0 {
 		recvErr = make(chan error, 1)
-		// ctx rides in as an argument, not via the s.ctx field: on a
-		// hard error the loop can return without joining this
-		// goroutine, which then must not race runJob's per-job field
-		// teardown (the cluster abort or the membership interrupt is
-		// what unblocks and ends it). In a serial session the orphan
-		// holds the node's quiesce gate: it shares the server struct a
-		// replacement runner would reuse, so a rejoin must wait it out.
-		if !s.multi {
-			sh := s.shared
-			sh.quiesceEnter()
-			go func(ctx context.Context) {
-				defer sh.quiesceExit()
-				recvErr <- s.receiveStep(ctx, step)
-			}(s.ctx)
-		} else {
-			go func(ctx context.Context) { recvErr <- s.receiveStep(ctx, step) }(s.ctx)
-		}
+		// ctx rides in as an argument, not via the s.ctx field: on a hard
+		// error or this server's death the loop can return without joining
+		// this goroutine, which then must not race runJob's per-job field
+		// teardown (the cluster abort or the membership interrupt is what
+		// unblocks and ends it). It holds the runner's quiesce gate, so the
+		// runner's next job waits it out.
+		s.q.enter()
+		go func(ctx context.Context) {
+			defer s.q.exit()
+			recvErr <- s.receiveStep(ctx, step)
+		}(s.ctx)
 	}
 
 	// Parallel tile processing on T workers (OpenMP pragma analog).
@@ -1249,12 +1216,12 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	close(work)
 	wg.Wait()
 
-	if k, ok := s.faults.killAt(n.ID(), step, KillMidStep); ok {
+	if err := s.killAt(step, KillMidStep); err != nil {
 		// Mid-step: this server's batches are enqueued or on the wire, but
 		// it will never finish receiving or reach the barrier. A pending
 		// receive goroutine unwinds via the membership interrupt the death
 		// provokes; it only touches this zombie's private scratch.
-		return st, 0, nil, false, s.die(k.Hang)
+		return st, 0, nil, false, err
 	}
 
 	updatedTotal = 0
@@ -1332,10 +1299,10 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	st.Updated = updatedTotal
 	st.Duration = time.Since(stepStart)
 
-	if k, ok := s.faults.killAt(n.ID(), step, KillAtBarrier); ok {
+	if err := s.killAt(step, KillAtBarrier); err != nil {
 		// This server absorbed the step but never votes; survivors detect
 		// it at the barrier (instantly for a crash, by timeout for a hang).
-		return st, 0, nil, false, s.die(k.Hang)
+		return st, 0, nil, false, err
 	}
 
 	// First barrier: every server has absorbed every update batch of
@@ -1389,13 +1356,15 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 		}
 		// Second barrier: no server starts the next superstep (and its
 		// update traffic) while tiles are still moving.
-		n.Barrier()
+		if err := s.barrierErr(); err != nil {
+			return st, 0, nil, false, err
+		}
 	}
 	return st, updatedTotal, newUpdated, overLimit, nil
 }
 
-// Update batches travel framed as [stepFrameMagic][step mod 256][comm
-// payload]. The magic (distinct from comm's raw 0xB7, rebalance's
+// Update batches travel inside the job envelope (comm.AppendJobHeader),
+// framed as [stepFrameMagic][step mod 256][comm payload]. The magic (distinct from comm's raw 0xB7, rebalance's
 // 0xC1–0xC3 and the recovery marker's 0xC9) classifies the frame; the step
 // byte pins it to its superstep, so stale traffic is discarded instead of
 // absorbed with wrong-step values. Stale frames arise two ways: a
@@ -1407,15 +1376,11 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 // away from the frame's origin, which CheckpointEvery < 256 guarantees.
 const stepFrameMagic = 0xB8
 
-// stepHeader starts an update-batch frame for the given superstep. In a
-// multi-tenant session the step header rides inside the job envelope
-// (comm.AppendJobHeader), so job A's frames can never alias job B's even at
-// the same superstep number.
+// stepHeader starts an update-batch frame for the given superstep. The step
+// header rides inside the job envelope, so job A's frames can never alias
+// job B's even at the same superstep number.
 func (s *server) stepHeader(dst []byte, step int) []byte {
-	if s.multi {
-		dst = comm.AppendJobHeader(dst, s.jobID)
-	}
-	return append(dst, stepFrameMagic, byte(step))
+	return append(comm.AppendJobHeader(dst, s.jobID), stepFrameMagic, byte(step))
 }
 
 // stepExpected returns how many foreign update batches this step's counted
@@ -1432,19 +1397,21 @@ func (s *server) stepExpected() int {
 }
 
 // adaptSendQueue resizes the pipelined sender's per-destination queues from
-// the backpressure observed since the last adjustment. It runs between the
-// step's flush and the next step's first enqueue, when the queues are
-// guaranteed empty, so swapping the Sender is safe.
+// the backpressure its own stall count shows since the last adjustment —
+// per runner, so concurrent jobs never read each other's stalls. It runs
+// between the step's flush and the next step's first enqueue, when the
+// queues are guaranteed empty, so swapping the Sender is safe.
 func (s *server) adaptSendQueue() {
-	m := s.node.Metrics()
-	stallsDelta := m.SendStalls - s.lastStalls
-	s.lastStalls = m.SendStalls
+	stalls := s.sender.Stalls()
+	stallsDelta := stalls - s.lastStalls
+	s.lastStalls = stalls
+	s.hiWater = max(s.hiWater, s.sender.QueueHighWater())
 	if stallsDelta == 0 {
 		s.quietSteps++
 	} else {
 		s.quietSteps = 0
 	}
-	next := costmodel.AdaptQueueCap(s.queueCap, stallsDelta, m.QueueHighWater, s.quietSteps)
+	next := costmodel.AdaptQueueCap(s.queueCap, stallsDelta, s.hiWater, s.quietSteps)
 	if next == s.queueCap {
 		return
 	}
@@ -1454,7 +1421,14 @@ func (s *server) adaptSendQueue() {
 	s.sender.Close()
 	s.queueCap = next
 	s.quietSteps = 0
-	s.sender = s.node.NewSender(next)
+	s.startSender()
+}
+
+// startSender builds the pipelined sender at the runner's current queue
+// capacity; the new sender's stall count starts at zero.
+func (s *server) startSender() {
+	s.sender = s.node.NewSender(s.queueCap)
+	s.lastStalls = 0
 }
 
 // loadTile materializes one tile for processTile: cache hit, staged
@@ -1470,18 +1444,16 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 	if t, ok := s.cache.GetInto(meta.id, &scr.tile); ok {
 		return t, nil
 	}
-	if s.multi {
-		// Cross-job sharing: a concurrent job may have offered this tile
-		// after paying its disk read. A take is the read this job skips.
-		if t, ok := s.shared.share.Take(meta.id, s.slotBit, &scr.tile); ok {
-			atomic.AddInt64(&s.shareHits, 1)
-			if s.residency == ResidencyCached {
-				if err := s.cache.AdmitLoaded(meta.id, t); err != nil {
-					return nil, err
-				}
+	// Cross-job sharing: a concurrent job may have offered this tile after
+	// paying its disk read. A take is the read this job skips.
+	if t, ok := s.shared.share.Take(meta.id, s.slotBit, &scr.tile); ok {
+		atomic.AddInt64(&s.shareHits, 1)
+		if s.residency == ResidencyCached {
+			if err := s.cache.AdmitLoaded(meta.id, t); err != nil {
+				return nil, err
 			}
-			return t, nil
 		}
+		return t, nil
 	}
 	if s.pf != nil {
 		if t := s.pf.take(meta.id, &scr.tile); t != nil {
@@ -1502,9 +1474,7 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 		if err := csr.DecodeInto(&scr.tile, data); err != nil {
 			return nil, err
 		}
-		if s.multi {
-			s.offerShare(meta.id, &scr.tile)
-		}
+		s.offerShare(meta.id, &scr.tile)
 		return &scr.tile, nil
 	}
 	t, err := s.cache.LoadInto(meta.id, &scr.tile, func(dst *csr.Tile) (*csr.Tile, error) {
@@ -1521,7 +1491,7 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 		}
 		return dst, nil
 	})
-	if err == nil && s.multi && !s.cache.Contains(meta.id) {
+	if err == nil && !s.cache.Contains(meta.id) {
 		// The cache declined admission (policy or capacity): the read's
 		// result would otherwise be lost to the other jobs, so offer it.
 		s.offerShare(meta.id, t)
@@ -1579,7 +1549,8 @@ func (s *server) receiveStep(ctx context.Context, step int) error {
 		s.seenTiles[i] = 0
 	}
 	discard := false
-	handle := func(from int, msg []byte) (bool, error) {
+	handle := func(m *mail) (bool, error) {
+		from, msg := m.from, m.payload
 		if len(msg) < 2 || msg[0] != stepFrameMagic || msg[1] != byte(step) {
 			if len(msg) > 0 && (msg[0] == stepFrameMagic || msg[0] == markerMagic) {
 				// Another step's frame (a leaked duplicate, or a dead
@@ -1607,10 +1578,10 @@ func (s *server) receiveStep(ctx context.Context, step int) error {
 		need--
 		return need == 0, nil
 	}
-	err := s.recvWhile(ctx, handle)
+	err := s.recvMail(ctx, handle)
 	if err != nil && ctx != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		discard = true
-		err = s.recvWhile(nil, handle)
+		err = s.recvMail(nil, handle)
 	}
 	if err != nil && errors.Is(err, cluster.ErrRecvStall) {
 		if s.shared.dead.Load() {
@@ -1742,10 +1713,8 @@ func (s *server) collectResult() error {
 			// A lingering declaration landed between the last superstep and
 			// here (a hang victim detected late, say). No step state is at
 			// risk any more — re-acknowledge, re-elect, re-copy.
-			epoch, alive := n.AckMembership()
-			s.ackedEpoch = epoch
-			if !alive[n.ID()] {
-				return s.die(true)
+			if _, err := s.ack(); err != nil {
+				return err
 			}
 		}
 	}
@@ -1764,11 +1733,7 @@ func (s *server) collectResult() error {
 			batch := comm.Batch{TileID: uint32(meta.id), Lo: meta.lo, Hi: meta.hi, Updates: ups}
 			if s.sender != nil {
 				wb := s.sender.Acquire()
-				head := wb.Data[:0]
-				if s.multi {
-					head = comm.AppendJobHeader(head, s.jobID)
-				}
-				msg, _, err := comm.AppendEncode(head, &batch, collectOpts)
+				msg, _, err := comm.AppendEncode(comm.AppendJobHeader(wb.Data[:0], s.jobID), &batch, collectOpts)
 				if err != nil {
 					s.sender.Release(wb)
 					return err
@@ -1779,11 +1744,7 @@ func (s *server) collectResult() error {
 				}
 				continue
 			}
-			var head []byte
-			if s.multi {
-				head = comm.AppendJobHeader(nil, s.jobID)
-			}
-			msg, _, err := comm.AppendEncode(head, &batch, collectOpts)
+			msg, _, err := comm.AppendEncode(comm.AppendJobHeader(nil, s.jobID), &batch, collectOpts)
 			if err != nil {
 				return err
 			}
@@ -1802,39 +1763,42 @@ func (s *server) collectResult() error {
 				s.result.Values[v] = s.state.get(v)
 			}
 		}
-		err := s.recvCount(s.total-len(s.metas), func(from int, m []byte) error {
-			if _, err := comm.DecodeInto(&s.recvBatch, m); err != nil {
-				return fmt.Errorf("core: server 0 decoding result batch: %w", err)
+		remaining := s.total - len(s.metas)
+		if remaining > 0 {
+			err := s.recvMail(nil, func(m *mail) (bool, error) {
+				if _, err := comm.DecodeInto(&s.recvBatch, m.payload); err != nil {
+					return false, fmt.Errorf("core: server 0 decoding result batch: %w", err)
+				}
+				for _, u := range s.recvBatch.Updates {
+					s.result.Values[u.ID] = u.Value
+				}
+				remaining--
+				return remaining == 0, nil
+			})
+			if err != nil {
+				return err
 			}
-			for _, u := range s.recvBatch.Updates {
-				s.result.Values[u.ID] = u.Value
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
-	return s.syncBarrier()
+	// The closing barrier is best-effort: the result is already assembled,
+	// and a membership change here cannot corrupt it.
+	if _, err := s.barrierVote(false); err != nil && !errors.Is(err, cluster.ErrMembershipChanged) {
+		return err
+	}
+	return nil
 }
 
-// barrierVote is the runner's step-consensus barrier: the node-wide vote
-// barrier in a serial session, the job-tagged barrier (checked against this
-// runner's privately acknowledged membership epoch) when multi-tenant.
+// barrierVote is the runner's step-consensus barrier: the job-tagged
+// barrier, checked against this runner's privately acknowledged membership
+// epoch.
 func (s *server) barrierVote(flag bool) (bool, error) {
-	if s.multi {
-		return s.node.JobBarrierVoteEpoch(s.jobID, flag, s.ackedEpoch)
-	}
-	return s.node.BarrierVoteErr(flag)
+	return s.node.JobBarrierVoteEpoch(s.jobID, flag, s.ackedEpoch)
 }
 
 // barrierErr is the voteless form: nil on a clean pass, the membership error
 // when a runner must recover, a broken barrier surfaced as ErrClosed.
 func (s *server) barrierErr() error {
-	if !s.multi {
-		return s.node.BarrierErr()
-	}
-	d, err := s.node.JobBarrierVoteEpoch(s.jobID, false, s.ackedEpoch)
+	d, err := s.barrierVote(false)
 	if err != nil {
 		return err
 	}
@@ -1844,49 +1808,6 @@ func (s *server) barrierErr() error {
 		return fmt.Errorf("core: server %d: job barrier: %w", s.node.ID(), cluster.ErrClosed)
 	}
 	return nil
-}
-
-// syncBarrier is the plain end-of-phase barrier (collectResult's tail):
-// best-effort in both modes — the result is already assembled, a failure
-// here cannot corrupt it.
-func (s *server) syncBarrier() error {
-	if !s.multi {
-		s.node.Barrier()
-		return nil
-	}
-	_, err := s.node.JobBarrierVoteEpoch(s.jobID, false, s.ackedEpoch)
-	if err != nil && !errors.Is(err, cluster.ErrMembershipChanged) {
-		return err
-	}
-	return nil
-}
-
-// recvWhile is receiveStep's stream primitive: the node inbox in a serial
-// session, this runner's routed mailbox when multi-tenant.
-func (s *server) recvWhile(ctx context.Context, fn func(from int, msg []byte) (bool, error)) error {
-	if s.multi {
-		return s.recvMail(ctx, fn)
-	}
-	return s.node.RecvStreamWhile(ctx, fn)
-}
-
-// recvCount is collectResult's counted receive: exactly count frames, each
-// handed to fn.
-func (s *server) recvCount(count int, fn func(from int, msg []byte) error) error {
-	if !s.multi {
-		return s.node.RecvStream(count, fn)
-	}
-	if count <= 0 {
-		return nil
-	}
-	remaining := count
-	return s.recvMail(nil, func(from int, payload []byte) (bool, error) {
-		if err := fn(from, payload); err != nil {
-			return false, err
-		}
-		remaining--
-		return remaining == 0, nil
-	})
 }
 
 // offerShare publishes a tile this runner just paid a disk read for to the
@@ -1957,35 +1878,40 @@ func (s *server) maxTileBytes() int64 {
 	return maxTile
 }
 
-// jobRunner clones this server for one admitted job of a multi-tenant
-// session. The clone shares everything session-lifetime — store, cache,
-// graph, node, metas data, the nodeShared plumbing — and privatizes
-// everything a concurrent BSP loop writes: vertex state (allocated fresh by
-// initJobState), scratch, per-tile buffers, ownership tables and receive
-// tallies. Built field-by-field: server holds a mutex, so a struct copy
-// would be a copylocks violation.
-func (s *server) jobRunner(jb *job) *server {
+// slotRunner returns the runner of an admission slot, cloning it from this
+// server on first use. The clone shares everything session-lifetime —
+// store, cache, graph, node, the base ownership table (which only the
+// one-slot rebalancer mutates), the prefetcher (nil unless the session has
+// one slot), the nodeShared plumbing — and owns everything a BSP loop
+// writes: vertex state (allocated by its first initJobState), scratch,
+// per-tile buffers, its tile view and receive tallies. All of that is
+// reused by every later job in the slot, so jobs start warm. Built
+// field-by-field: server holds mutexes, so a struct copy would be a
+// copylocks violation.
+func (s *server) slotRunner(slot int) *server {
+	sh := s.shared
+	sh.runnersMu.Lock()
+	defer sh.runnersMu.Unlock()
+	if r := sh.runners[slot]; r != nil {
+		return r
+	}
 	r := &server{
 		cfg:        s.cfg,
 		node:       s.node,
 		graph:      s.graph,
-		tiles:      s.tiles,
 		total:      s.total,
-		work:       s.work,
 		store:      s.store,
 		cache:      s.cache,
 		members:    s.members,
 		bloomBytes: s.bloomBytes,
+		pf:         s.pf,
+		pfDepth:    s.pfDepth,
 		residency:  s.residency,
 		cacheRatio: s.cacheRatio,
 		workRoot:   s.workRoot,
-		baseOwner:  s.baseOwner, // read-only without the rebalancer
+		baseOwner:  s.baseOwner,
 		faults:     s.faults,
-		shared:     s.shared,
-		multi:      true,
-		jobID:      jb.id,
-		slotBit:    1 << uint(jb.slot),
-		jobWeight:  jb.weight,
+		shared:     sh,
 	}
 	r.metas = append([]*tileMeta(nil), s.metas...)
 	r.scratch = make([]*workerScratch, r.cfg.WorkersPerServer)
@@ -1995,21 +1921,11 @@ func (s *server) jobRunner(jb *job) *server {
 	r.outs = make([]tileOut, len(r.metas))
 	r.updBufs = make([][]comm.Update, len(r.metas))
 	r.staged = make([][]comm.Update, r.node.NumNodes())
-	r.curOwner = append([]int(nil), s.baseOwner...)
-	r.ownedCnt = make([]int, r.node.NumNodes())
-	for _, owner := range r.curOwner {
-		r.ownedCnt[owner]++
-	}
+	r.curOwner = append([]int(nil), s.curOwner...)
+	r.ownedCnt = append([]int(nil), s.ownedCnt...)
 	r.recvdFrom = make([]int, r.node.NumNodes())
 	r.seenTiles = make([]uint64, (r.total+63)/64)
-	// Static send-queue sizing only: the adaptive controller reads node-wide
-	// stall metrics, which concurrent runners would pollute for each other.
-	r.queueCap = r.cfg.SendQueueCap
-	if r.queueCap <= 0 {
-		r.queueCap = 32
-	}
-	r.rtr = s.shared.router.Load()
-	r.mailbox = r.rtr.register(jb.id)
+	sh.runners[slot] = r
 	return r
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/compress"
@@ -76,6 +77,8 @@ func newWarmServer(t *testing.T, mutate func(*Config), pipelined bool) (*server,
 		prog:   smoothProg{},
 		work:   cfg.WorkDir,
 		result: res,
+		// The node-level plumbing a one-slot session gives its runner.
+		shared: &nodeShared{share: cache.NewShareWindow(0), sched: newJobScheduler(1, 1)},
 	}
 	if err := sv.setup(); err != nil {
 		cl.Close()

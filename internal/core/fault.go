@@ -235,8 +235,8 @@ func (cf *compiledFaults) wireHook() func(from, to, size int) cluster.WireAction
 }
 
 // killAt returns the scripted kill for (server, step, point), if any. A
-// kill fires for every runner that hits its coordinate — in a multi-tenant
-// session each in-flight job's runner on the victim queries independently,
+// kill fires for every runner that hits its coordinate — with several jobs
+// in flight each job's runner on the victim queries independently,
 // and a hang must fell all of them — until the kill is spent: once the
 // server is revived by a rejoin, the comeback *replays* the same superstep,
 // and a spent kill keeps it from dying again at the coordinate that killed
@@ -275,8 +275,8 @@ func (cf *compiledFaults) disarmKills(server int) {
 // fireRejoins claims every scripted rejoin pinned to the start of step,
 // hands each to the session's join controller, and returns their completion
 // channels so the firing runner can park at its step edge until the
-// admissions land. Any live server can hit the coordinate first (in a
-// multi-tenant session even on different jobs whose step counters
+// admissions land. Any live server can hit the coordinate first (with
+// several jobs in flight, even on different jobs whose step counters
 // disagree); the one-shot makes exactly one of them fire it.
 func (cf *compiledFaults) fireRejoins(step int) []<-chan struct{} {
 	if cf == nil || len(cf.rejoins) == 0 || cf.onRejoin == nil {

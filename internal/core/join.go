@@ -20,9 +20,9 @@ package core
 //     unwinds with ErrMembershipChanged — the same level-triggered signal
 //     a death raises, funneling everyone into the recovery protocol.
 //  3. Fold-in. The session revives the node (reviveServer): the death flag
-//     clears, a fresh frame router boots (multi-tenant), and a replacement
-//     runner is spawned for every job the dead node consumed as a zombie
-//     (rejoinJob). The replacement advertises need in the marker exchange,
+//     clears, a fresh frame router boots, and a replacement runner is
+//     spawned for every job the dead node consumed as a zombie (runJob with
+//     rejoin set). The replacement advertises need in the marker exchange,
 //     is excluded from the restore consensus, receives the consensus
 //     checkpoint from a donor (recovery.go streamCheckpoint), re-adopts
 //     its own setup-persisted tiles through the ordinary reconcile pass,
@@ -143,19 +143,8 @@ func (s *server) pollJoinRequests() {
 	if blk := s.shared.joinBlock; blk == nil || blk.Load() != 0 {
 		return // some other in-flight job cannot
 	}
-	if !s.multi {
-		// Serial session: nobody receives on this server's behalf while it
-		// sits at a step edge, so pull any frames already delivered to the
-		// transport inbox — control frames land in the poll queue, data
-		// frames are stashed for the step's ordinary receives. A multi-tenant
-		// session must NOT probe: its frame router goroutine owns the inbox
-		// continuously (recvMsgStall diverts control frames into the poll
-		// queue as they arrive), and a second competing receiver would
-		// interleave with the router arbitrarily — the probe could stash
-		// frame F1 while the router pulls and routes a later F2 directly,
-		// breaking per-sender FIFO on the data plane.
-		n.CtlProbe()
-	}
+	// The frame router owns the inbox and diverts control frames into the
+	// poll queue as they arrive.
 	for {
 		p := n.CtlPoll()
 		if p == nil {
@@ -281,12 +270,8 @@ func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer boo
 	if rank < 0 || rank >= se.cfg.NumServers {
 		return fmt.Errorf("core: Join of invalid server rank %d", rank)
 	}
-	closed, dead := se.liveState()
-	if closed {
-		return fmt.Errorf("core: Join: %w", ErrSessionClosed)
-	}
-	if dead != nil {
-		return &sessionDeadError{cause: dead}
+	if err := se.joinLiveErr(); err != nil {
+		return err
 	}
 	n := se.cl.Node(rank)
 	if n.Alive(rank) {
@@ -304,12 +289,8 @@ func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer boo
 		if time.Now().After(deadline) {
 			return ErrJoinTimeout
 		}
-		closed, dead := se.liveState()
-		if closed {
-			return fmt.Errorf("core: Join: %w", ErrSessionClosed)
-		}
-		if dead != nil {
-			return &sessionDeadError{cause: dead}
+		if err := se.joinLiveErr(); err != nil {
+			return err
 		}
 		// Idle session: no runner will poll the control plane until the
 		// next Submit, so the controller admits directly — under the job
@@ -397,6 +378,13 @@ func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer boo
 	return nil
 }
 
+// joinLiveErr is liveErr for the join controller.
+func (se *Session) joinLiveErr() error {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return se.liveErr("Join")
+}
+
 // tryDirectAdmit admits rank without a runner's help when no job is in
 // flight. Holding the registry lock across the declaration and revival
 // closes the race with a concurrent Submit: a job registered before we
@@ -427,22 +415,12 @@ func (se *Session) reviveServer(rank int) {
 // node consumed as zombies, and any it hasn't consumed yet (the ledger
 // entry makes the normal path consume them as zombies, so exactly one
 // runner per job survives). The death-flag flip and the ledger claims are
-// one critical section under zMu, pairing with runJob's claimIfZombie.
+// one critical section under zMu, pairing with runJob's claimIfZombie. A
+// replacement runs on its job's slot runner, after that runner's quiesce
+// gate shows the killed predecessor has unwound.
 func (se *Session) reviveLocked(rank int) {
 	sv := se.servers[rank]
 	sh := sv.shared
-	if !sh.dead.Load() {
-		return // already revived (rechecked under zMu below)
-	}
-	// Quiesce before reuse: the killed runner — and, in a serial session,
-	// its deliberately-unjoined receive goroutine — may still be unwinding
-	// on this very server struct and draining the node's transport inbox.
-	// Replacement runners must not start until those writes have a
-	// happens-before edge to the reads that follow. Waiting here (outside
-	// zMu) is safe: the dying runner's exit path needs only zMu, never
-	// regMu, and it is guaranteed to finish — the membership interrupt its
-	// death provoked, or the crashed transport, unwinds it.
-	sh.quiesceWait()
 	sh.zMu.Lock()
 	if !sh.dead.Load() {
 		sh.zMu.Unlock()
@@ -451,17 +429,13 @@ func (se *Session) reviveLocked(rank int) {
 	// The kill that felled this server must not fire again when the
 	// replacement runners replay the superstep it died at.
 	sv.faults.disarmKills(rank)
-	// Count the comeback before any replacement runner (or later job's
-	// clone) snapshots the node's counters into its stats.
+	// Count the comeback before any replacement runner (or later job)
+	// snapshots the node's counters into its stats.
 	sh.joins.Add(1)
-	if se.multi {
-		if old := sh.router.Load(); old != nil {
-			old.halt()
-		}
-		r := newFrameRouter(sv.node, se.routerCap, se.noteFatal)
-		sh.router.Store(r)
-		go r.run()
-	}
+	sh.router.Load().halt()
+	r := newFrameRouter(sv.node, se.routerCap, se.noteFatal)
+	sh.router.Store(r)
+	go r.run()
 	if sh.zombies == nil {
 		sh.zombies = make(map[*job]bool)
 	}
@@ -482,128 +456,11 @@ func (se *Session) reviveLocked(rank int) {
 		if !jb.grp.tryAdd() {
 			continue // the job completed without us in the meantime
 		}
-		sh.quiesceEnter() // replacement runner holds the gate like any other
 		go func(jb *job) {
-			var fatal error
-			if se.multi {
-				fatal = sv.jobRunner(jb).rejoinJob(jb)
-			} else {
-				fatal = sv.rejoinJob(jb)
-			}
-			sh.quiesceExit()
-			if fatal != nil {
+			if fatal := sv.slotRunner(jb.slot).runJob(jb, true); fatal != nil {
 				se.noteFatal(fatal)
 			}
 			jb.grp.doneOne()
 		}(jb)
 	}
-}
-
-// rejoinJob is runJob's twin for a replacement runner: the server rejoins a
-// job already in flight, so instead of starting the superstep loop at step
-// 0 it enters the recovery protocol needy — advertising that it holds no
-// state, receiving the consensus checkpoint from a donor, re-adopting its
-// own tiles — and replays from restore+1. Stats, zombie exits and error
-// handling mirror runJob.
-func (s *server) rejoinJob(jb *job) (fatal error) {
-	defer func() {
-		s.prog, s.ctx, s.progress, s.result = nil, nil, nil, nil
-		// recoverFromFailure rebuilt the sender pipeline; tear it down on
-		// the way out exactly as runJob's own defer does.
-		if s.sender != nil {
-			s.sender.Close()
-			s.sender = nil
-		}
-	}()
-	s.prog = jb.prog
-	s.ctx = jb.ctx
-	s.maxSteps = jb.maxSteps
-	s.lockstep = jb.lockstep
-	s.msgCodec = jb.codec
-	s.progress = jb.progress
-	s.result = jb.res
-	s.tilesIn, s.tilesOut = 0, 0
-	s.ckptEvery = jb.ckptEvery
-	s.ckptCount, s.ckptBytes = 0, 0
-	s.tilesAdopted, s.recoveries, s.recoveryTime = 0, 0, 0
-	s.rebal = nil
-	if s.multi {
-		// Pin the membership view like any fresh runner; recoverFromFailure
-		// re-acknowledges, but the router needs an unblocked node first.
-		epoch, alive := s.node.AckMembership()
-		s.ackedEpoch = epoch
-		if !alive[s.node.ID()] {
-			_ = s.die(true)
-			s.markZombie(jb)
-			return nil
-		}
-	}
-	if err := s.clearCheckpoints(); err != nil {
-		jb.errs[s.node.ID()] = err
-		return err
-	}
-	for i := range s.staged {
-		s.staged[i] = s.staged[i][:0]
-	}
-	s.initJobState()
-	s.jobsRun++
-	s.needCkpt = true
-	if s.queueCap <= 0 {
-		s.queueCap = s.cfg.SendQueueCap
-		if s.queueCap <= 0 {
-			s.queueCap = 32
-			s.adaptiveQueue = true
-		}
-	}
-	// recoverFromFailure builds the sender after the protocol converges;
-	// no sender must exist while stale state could still be flushed.
-	restore, err := s.recoverFromFailure()
-	if err != nil {
-		if errors.Is(err, errServerKilled) {
-			jb.steps[s.node.ID()] = nil
-			s.markZombie(jb)
-			return nil
-		}
-		jb.errs[s.node.ID()] = err
-		return err
-	}
-
-	loopStart := time.Now()
-	steps, err := s.superstepLoopFrom(restore + 1)
-	if err != nil {
-		if errors.Is(err, errServerKilled) {
-			s.markZombie(jb)
-			return nil
-		}
-		var jc jobCancelled
-		if errors.As(err, &jc) {
-			jb.cancels[s.node.ID()] = jc.cause
-			return nil
-		}
-		jb.errs[s.node.ID()] = err
-		return err
-	}
-	jb.steps[s.node.ID()] = steps
-	atomicMax(&jb.loopMax, int64(time.Since(loopStart)))
-
-	if err := s.collectResult(); err != nil {
-		if errors.Is(err, errServerKilled) {
-			jb.steps[s.node.ID()] = nil
-			s.markZombie(jb)
-			return nil
-		}
-		jb.errs[s.node.ID()] = err
-		return err
-	}
-	if s.pf != nil {
-		s.pf.drain()
-	}
-	if s.multi {
-		for _, step := range s.ckptSteps {
-			_ = s.store.Remove(s.ckptName(step))
-		}
-		s.ckptSteps = s.ckptSteps[:0]
-	}
-	s.fillServerStats()
-	return nil
 }

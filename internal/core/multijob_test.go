@@ -22,6 +22,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	. "repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/tile"
 )
 
@@ -288,6 +289,48 @@ func TestMultiJobQueueFull(t *testing.T) {
 
 	if _, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{}); !errors.Is(err, ErrJobQueueFull) {
 		t.Fatalf("overflow Submit returned %v, want ErrJobQueueFull", err)
+	}
+	close(hold)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+}
+
+// TestOneSlotQueueBound: a one-slot session applies the same admission
+// bound as every other session. With its one job running, the first
+// costmodel.JobQueueBound(1) further Submits wait in the queue, the next
+// one fails fast with ErrJobQueueFull, and every queued job still runs
+// once the slot frees.
+func TestOneSlotQueueBound(t *testing.T) {
+	_, p := sessionGraph(t)
+	cfg := DefaultConfig(2)
+	cfg.WorkDir = t.TempDir()
+	cfg.MaxSupersteps = 2
+	se, err := Open(Input{Partition: p}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+
+	bound := costmodel.JobQueueBound(1)
+	hold := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, 1+bound)
+	heldJobs(t, se, 1, hold, &wg, errs[:1])
+	for i := 1; i <= bound; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = se.Submit(context.Background(), apps.PageRank{}, JobOptions{})
+		}(i)
+	}
+	time.Sleep(200 * time.Millisecond) // let the waiting Submits take their queue seats
+
+	if _, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{}); !errors.Is(err, ErrJobQueueFull) {
+		t.Fatalf("Submit %d while %d wait returned %v, want ErrJobQueueFull", bound+1, bound, err)
 	}
 	close(hold)
 	wg.Wait()

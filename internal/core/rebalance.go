@@ -24,8 +24,9 @@ package core
 // ranges are disjoint, and the swap happens only at the barrier, so which
 // server computes a tile changes timing but never data.
 //
-// The three message kinds share the transport with comm update batches and
-// are distinguished by their first byte (comm uses 0xB7). Within a phase a
+// The three message kinds travel inside the job envelope, share the job's
+// mailbox with its update batches, and are distinguished by their first
+// byte (comm uses 0xB7). Within a phase a
 // server knows exactly which kinds it still expects; kinds that arrive
 // early (a donor's tile racing the coordinator's plan to a third server)
 // are stashed and replayed. The payloads are untrusted input: every decoder
@@ -34,11 +35,14 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/csr"
 )
@@ -239,7 +243,10 @@ func newRebalancer(cfg Config, numNodes int) *rebalancer {
 // recvRebalanceMsg returns the next in-phase message of the wanted kind,
 // stashing other rebalance kinds that arrive first. Only rebalance kinds
 // can legally be in flight — the phase is bracketed by barriers — so any
-// other payload is a protocol error.
+// other payload is a protocol error. The phase has no failure detection
+// (the rebalancer only runs without checkpointing, so a death is fatal
+// anyway): a quiet mailbox — a donor still reading a migrating tile —
+// is waited out, not reported.
 func (s *server) recvRebalanceMsg(want byte) (from int, payload []byte, err error) {
 	r := s.rebal
 	for i, m := range r.stash {
@@ -249,23 +256,31 @@ func (s *server) recvRebalanceMsg(want byte) (from int, payload []byte, err erro
 		}
 	}
 	for {
-		from, p, err := s.node.Recv()
-		if err != nil {
-			return 0, nil, err
+		err := s.recvMail(nil, func(m *mail) (bool, error) {
+			p := m.payload
+			if len(p) > 0 && p[0] == stepFrameMagic {
+				// A duplicated update frame that leaked across the step
+				// boundary (scripted WireDuplicate); stale, skip it.
+				return false, nil
+			}
+			kind, err := rebalanceKind(p)
+			if err != nil {
+				return false, fmt.Errorf("core: server %d mid-rebalance: %w", s.node.ID(), err)
+			}
+			// Keep the payload, detaching its buffer from the receive pool:
+			// a migrating tile's blob would otherwise leave a tile-sized
+			// buffer cycling through the pool for every small frame.
+			m.holder = nil
+			if kind == want {
+				from, payload = m.from, p
+				return true, nil
+			}
+			r.stash = append(r.stash, stashMsg{kind: kind, from: m.from, payload: p})
+			return false, nil
+		})
+		if !errors.Is(err, cluster.ErrRecvStall) {
+			return from, payload, err
 		}
-		if len(p) > 0 && p[0] == stepFrameMagic {
-			// A duplicated update frame that leaked across the step
-			// boundary (scripted WireDuplicate); stale, skip it.
-			continue
-		}
-		kind, err := rebalanceKind(p)
-		if err != nil {
-			return 0, nil, fmt.Errorf("core: server %d mid-rebalance: %w", s.node.ID(), err)
-		}
-		if kind == want {
-			return from, p, nil
-		}
-		r.stash = append(r.stash, stashMsg{kind: kind, from: from, payload: p})
 	}
 }
 
@@ -278,28 +293,31 @@ func (s *server) metaIndex(id int) int {
 	return -1
 }
 
-// dropTile removes the tile at meta index k from this server: the cache
-// entry is evicted (freed capacity un-settles earlier admission declines,
-// so the remaining workload re-admits), the local blob is deleted, and the
-// per-tile scratch shrinks with the assignment table.
+// dropTile gives away the tile at meta index k — a migration donor's side:
+// the local blob is deleted and the tile leaves this server's view
+// (forgetTile).
 func (s *server) dropTile(k int) error {
 	meta := s.metas[k]
-	s.cache.Remove(meta.id)
-	if !s.multi {
-		// Multi-tenant runners keep the blob: the drop only narrows this
-		// job's private ownership view, and a concurrent job (or a later
-		// recovery pass) may still read the tile from the shared store.
-		if err := s.store.Remove(meta.blob); err != nil {
-			return fmt.Errorf("core: server %d dropping migrated tile %d: %w", s.node.ID(), meta.id, err)
-		}
+	if err := s.store.Remove(meta.blob); err != nil {
+		return fmt.Errorf("core: server %d dropping migrated tile %d: %w", s.node.ID(), meta.id, err)
 	}
+	s.forgetTile(k)
+	return nil
+}
+
+// forgetTile removes the tile at meta index k from this runner's view: the
+// cache entry is evicted (freed capacity un-settles earlier admission
+// declines, so the remaining workload re-admits) and the per-tile scratch
+// shrinks with the assignment table. The blob stays in the store.
+func (s *server) forgetTile(k int) {
+	meta := s.metas[k]
+	s.cache.Remove(meta.id)
 	if meta.filter != nil {
 		s.bloomBytes -= int64(meta.filter.SizeBytes())
 	}
 	s.metas = append(s.metas[:k], s.metas[k+1:]...)
 	s.updBufs = append(s.updBufs[:k], s.updBufs[k+1:]...)
 	s.outs = s.outs[:len(s.metas)]
-	return nil
 }
 
 // admitTile installs a migrated tile on this server: the blob is persisted
@@ -322,10 +340,9 @@ func (s *server) admitTile(id int, body []byte) error {
 		return fmt.Errorf("core: server %d: migrated blob says tile %d, envelope says %d", s.node.ID(), tl.ID, id)
 	}
 	blob := tileBlobName(id)
-	// Atomic: in a multi-tenant session every job's runner adopts a dead
-	// peer's tiles into the one shared store, so another runner may be
-	// reading this very blob; it must see the whole tile, never a
-	// truncated one.
+	// Atomic: every job's runner adopts a dead peer's tiles into the one
+	// shared store, so another runner may be reading this very blob; it
+	// must see the whole tile, never a truncated one.
 	if err := s.store.WriteAtomic(blob, body); err != nil {
 		return fmt.Errorf("core: server %d persisting migrated tile %d: %w", s.node.ID(), id, err)
 	}
@@ -368,7 +385,7 @@ func (s *server) rebalanceStep(step int, st *StepStats) error {
 	// server's measurements (or the test hook's verbatim plan).
 	var moves []costmodel.Move
 	if n.ID() != 0 {
-		msg := appendStatsMsg(r.wireBuf[:0], step, costs)
+		msg := appendStatsMsg(comm.AppendJobHeader(r.wireBuf[:0], s.jobID), step, costs)
 		r.wireBuf = msg[:0]
 		if err := n.Send(0, msg); err != nil {
 			return err
@@ -413,7 +430,7 @@ func (s *server) rebalanceStep(step int, st *StepStats) error {
 		} else {
 			moves = costmodel.PlanRebalance(all, r.ratio, r.minNanos)
 		}
-		msg := appendPlanMsg(r.wireBuf[:0], step, moves)
+		msg := appendPlanMsg(comm.AppendJobHeader(r.wireBuf[:0], s.jobID), step, moves)
 		r.wireBuf = msg[:0]
 		if err := n.Broadcast(msg); err != nil {
 			return err
@@ -451,11 +468,11 @@ func (s *server) rebalanceStep(step int, st *StepStats) error {
 			}
 			if s.sender != nil {
 				wb := s.sender.Acquire()
-				wb.Data = appendTileMsg(wb.Data[:0], mv.Tile, blob)
+				wb.Data = appendTileMsg(comm.AppendJobHeader(wb.Data[:0], s.jobID), mv.Tile, blob)
 				if err := s.sender.Send(mv.To, wb); err != nil {
 					return err
 				}
-			} else if err := n.Send(mv.To, appendTileMsg(nil, mv.Tile, blob)); err != nil {
+			} else if err := n.Send(mv.To, appendTileMsg(comm.AppendJobHeader(nil, s.jobID), mv.Tile, blob)); err != nil {
 				return err
 			}
 			if err := s.dropTile(k); err != nil {

@@ -65,7 +65,7 @@ const markerMagic = 0xC9
 const markerSize = 1 + 8 + 8 + 1
 
 // appendMarker appends a recovery marker for the given membership epoch.
-// Pure append: multi-tenant callers prefix the job envelope first.
+// Pure append: callers prefix the job envelope first.
 func appendMarker(dst []byte, epoch uint64, lastCkpt int, need bool) []byte {
 	dst = append(dst, markerMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
@@ -104,6 +104,47 @@ func (s *server) die(hang bool) error {
 	}
 	s.shared.dead.Store(true)
 	return errServerKilled
+}
+
+// ack acknowledges the current membership view as this runner's own and
+// returns it — or errServerKilled when this runner must leave the job. It
+// must when the view says the quorum declared this server dead (fencing, a
+// false accusation after dropped frames perhaps: it must stop, not fight —
+// the survivors have already reassigned its tiles). It must also when the
+// server was killed or readmitted since the job started here: the join
+// controller then owns the job on this server and runs a replacement on
+// this runner once it has left, while this runner's state predates the
+// death.
+func (s *server) ack() ([]bool, error) {
+	epoch, alive := s.node.AckMembership()
+	s.ackedEpoch = epoch
+	if !alive[s.node.ID()] {
+		return nil, s.die(true)
+	}
+	if s.stale() {
+		return nil, errServerKilled
+	}
+	return alive, nil
+}
+
+// stale reports whether this server was killed or readmitted since the
+// runner's job started here (see ack).
+func (s *server) stale() bool {
+	return s.shared.dead.Load() || s.shared.joins.Load() != s.joinsSeen
+}
+
+// killAt fires the scripted kill pinned to (step, point) on this server,
+// if any. A stale runner does not fire it again: the server already died
+// under it, and a second crash could fell the server after a rejoin.
+func (s *server) killAt(step int, point KillPoint) error {
+	k, ok := s.faults.killAt(s.node.ID(), step, point)
+	switch {
+	case !ok:
+		return nil
+	case s.stale():
+		return errServerKilled
+	}
+	return s.die(k.Hang)
 }
 
 // canRecover reports whether err is a membership disturbance this job is
@@ -146,14 +187,11 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 		s.sender = nil
 	}
 	for {
-		epoch, alive := n.AckMembership()
-		s.ackedEpoch = epoch
-		if !alive[n.ID()] {
-			// Fenced: the quorum declared this server dead (a false
-			// accusation after dropped frames, perhaps). It must stop, not
-			// fight — the survivors have already reassigned its tiles.
-			return 0, s.die(true)
+		alive, err := s.ack()
+		if err != nil {
+			return 0, err
 		}
+		epoch := s.ackedEpoch
 		// Barrier A: every survivor has acknowledged this epoch and sent
 		// its last pre-recovery frame.
 		if err := s.barrierErr(); err != nil {
@@ -211,7 +249,7 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 			s.staged[i] = s.staged[i][:0]
 		}
 		if !s.lockstep && n.NumNodes() > 1 {
-			s.sender = n.NewSender(s.queueCap)
+			s.startSender()
 		}
 		s.needCkpt = false
 		s.recoveries++
@@ -245,13 +283,9 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 	if !s.needCkpt {
 		merge(s.lastCkptStep())
 	}
-	buf := s.markerBuf[:0]
-	if s.multi {
-		// Job envelope first: the peers' routers deliver the marker to the
-		// right job's mailbox.
-		buf = comm.AppendJobHeader(buf, s.jobID)
-	}
-	msg := appendMarker(buf, epoch, s.lastCkptStep(), s.needCkpt)
+	// Job envelope first: the peers' routers deliver the marker to the right
+	// job's mailbox.
+	msg := appendMarker(comm.AppendJobHeader(s.markerBuf[:0], s.jobID), epoch, s.lastCkptStep(), s.needCkpt)
 	s.markerBuf = msg[:0]
 	waiting := 0
 	for p, ok := range alive {
@@ -272,7 +306,8 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 		s.markerSeen = seen
 	}
 	clear(seen)
-	err = s.recvWhile(nil, func(from int, payload []byte) (bool, error) {
+	err = s.recvMail(nil, func(m *mail) (bool, error) {
+		from, payload := m.from, m.payload
 		if len(payload) == 0 || payload[0] != markerMagic {
 			return false, nil // stale step frame from before the failure
 		}
@@ -345,11 +380,8 @@ func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool,
 		if err != nil {
 			return false, fmt.Errorf("core: server %d reading checkpoint for step %d to stream: %w", me, restore, err)
 		}
-		msg := blob
-		if s.multi {
-			buf := make([]byte, 0, comm.JobHeaderSize+len(blob))
-			msg = append(comm.AppendJobHeader(buf, s.jobID), blob...)
-		}
+		buf := make([]byte, 0, comm.JobHeaderSize+len(blob))
+		msg := append(comm.AppendJobHeader(buf, s.jobID), blob...)
 		for p, ok := range alive {
 			if !ok || !needy[p] {
 				continue
@@ -360,7 +392,8 @@ func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool,
 		}
 	} else if needy[me] {
 		var blob []byte
-		err = s.recvWhile(nil, func(from int, payload []byte) (bool, error) {
+		err = s.recvMail(nil, func(m *mail) (bool, error) {
+			payload := m.payload
 			if len(payload) < ckptHeaderSize || payload[0] != ckptMagic {
 				return false, nil // stale pre-recovery frame or stray marker
 			}
@@ -371,7 +404,8 @@ func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool,
 				// the current donor's; drop it and keep receiving.
 				return false, nil
 			}
-			blob = append([]byte(nil), payload...)
+			blob = payload
+			m.holder = nil // keep the buffer: the blob is persisted below
 			return true, nil
 		})
 		switch {
@@ -417,15 +451,16 @@ func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool,
 // function of (base ownership, alive set), recomputed from scratch on
 // every pass, so survivors that entered recovery at different moments
 // still converge on the identical assignment.
+//
+// Runners reconcile against private ownership tables but share the tile
+// store. A dropped tile keeps its blob: the drop only narrows this job's
+// view, and a concurrent job (or a later recovery pass) may still read the
+// tile. Serializing the passes makes the adopted-blob writes sequential
+// (and idempotent — every runner writes the same bytes read from the same
+// dead directory).
 func (s *server) reconcileTiles(alive []bool) error {
-	if s.multi {
-		// Concurrent runners reconcile against private ownership tables but
-		// share the tile store: serializing the passes makes the adopted-blob
-		// writes sequential (and idempotent — every runner writes the same
-		// bytes read from the same dead directory).
-		s.shared.recoverMu.Lock()
-		defer s.shared.recoverMu.Unlock()
-	}
+	s.shared.recoverMu.Lock()
+	defer s.shared.recoverMu.Unlock()
 	me := s.node.ID()
 	cur, err := tile.ReassignDead(s.baseOwner, alive)
 	if err != nil {
@@ -433,9 +468,7 @@ func (s *server) reconcileTiles(alive []bool) error {
 	}
 	for k := len(s.metas) - 1; k >= 0; k-- {
 		if cur[s.metas[k].id] != me {
-			if err := s.dropTile(k); err != nil {
-				return err
-			}
+			s.forgetTile(k)
 		}
 	}
 	for t, owner := range cur {

@@ -364,40 +364,69 @@ func TestCheckpointRequiresAllInAll(t *testing.T) {
 	}
 }
 
-// TestCheckpointRetentionGC runs with CheckpointEvery=1 for 8 supersteps —
-// 7 checkpoints taken — and verifies each server's store retains at most
-// the last two blobs.
+// TestCheckpointRetentionGC pins the checkpoint lifecycle on disk, in a
+// one-slot and a two-slot session: every server keeps at most ckptRetain
+// (2) blobs at every step edge — counted from the Progress hook, which
+// runs after the step's checkpoint barrier — and a finished job leaves no
+// blob behind, since checkpoints are scoped to their job. The write and
+// byte counters must agree with the blobs taken (one per server after
+// steps 0..6; step 7 is the last and is never checkpointed).
 func TestCheckpointRetentionGC(t *testing.T) {
 	p := chaosPartition(t)
-	wd := t.TempDir()
-	cfg := DefaultConfig(2)
-	cfg.WorkDir = wd
-	cfg.MaxSupersteps = 8
-	cfg.CheckpointEvery = 1
-	res, err := New(cfg).Run(Input{Partition: p}, apps.PageRank{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wrote int
-	for _, sv := range res.Servers {
-		wrote += sv.Checkpoints
-		if sv.CheckpointBytes <= 0 && sv.Checkpoints > 0 {
-			t.Fatalf("server %d wrote %d checkpoints but reported %d bytes", sv.Server, sv.Checkpoints, sv.CheckpointBytes)
-		}
-	}
-	if wrote != 2*7 { // 2 servers × checkpoints after steps 0..6 (7 is the last step)
-		t.Fatalf("cluster wrote %d checkpoints, want 14", wrote)
-	}
-	for server := 0; server < 2; server++ {
-		blobs, err := filepath.Glob(filepath.Join(wd, fmt.Sprintf("server-%d", server), "ckpt", "*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blobs) > 2 {
-			t.Fatalf("server %d retains %d checkpoint blobs, want at most 2: %v", server, len(blobs), blobs)
-		}
-		if len(blobs) == 0 {
-			t.Fatalf("server %d retains no checkpoint blobs at all", server)
-		}
+	for _, slots := range []int{1, 2} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			wd := t.TempDir()
+			cfg := DefaultConfig(2)
+			cfg.WorkDir = wd
+			cfg.MaxSupersteps = 8
+			cfg.CheckpointEvery = 1
+			cfg.MaxConcurrentJobs = slots
+			se, err := Open(Input{Partition: p}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			blobs := func(server int) []string {
+				got, err := filepath.Glob(filepath.Join(wd, fmt.Sprintf("server-%d", server), "ckpt", "*"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			maxSeen := 0
+			res, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{
+				Progress: func(st StepStats) {
+					for server := 0; server < 2; server++ {
+						if b := blobs(server); len(b) > 2 {
+							t.Errorf("step %d: server %d retains %d checkpoint blobs, want at most 2: %v",
+								st.Superstep, server, len(b), b)
+						} else {
+							maxSeen = max(maxSeen, len(b))
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if maxSeen == 0 {
+				t.Fatal("no checkpoint blob was ever on disk during the job")
+			}
+			var wrote int
+			for _, sv := range res.Servers {
+				wrote += sv.Checkpoints
+				if sv.CheckpointBytes <= 0 && sv.Checkpoints > 0 {
+					t.Fatalf("server %d wrote %d checkpoints but reported %d bytes", sv.Server, sv.Checkpoints, sv.CheckpointBytes)
+				}
+			}
+			if wrote != 2*7 { // 2 servers × checkpoints after steps 0..6 (7 is the last step)
+				t.Fatalf("cluster wrote %d checkpoints, want 14", wrote)
+			}
+			for server := 0; server < 2; server++ {
+				if b := blobs(server); len(b) != 0 {
+					t.Fatalf("server %d retains %d checkpoint blobs after the job: %v", server, len(b), b)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
-// The multi-tenant data plane. In a session with MaxConcurrentJobs > 1
-// every wire frame is wrapped in a job envelope (comm.AppendJobHeader), and
-// each server runs one frameRouter goroutine that owns the node's inbox: it
-// strips the envelope and drops the inner frame into the addressed job's
-// mailbox. Runners never touch the inbox directly — they receive from their
+// The data plane. Every wire frame is wrapped in a job envelope
+// (comm.AppendJobHeader), and each server runs one frameRouter goroutine
+// that owns the node's inbox for the whole session: it strips the envelope
+// and drops the inner frame into the addressed job's mailbox. Runners
+// never touch the inbox directly — they receive from their
 // mailbox with recvMail, which reproduces the inbox's delivery contract
 // (a pending message beats a racing cancel or stall; a membership change
 // beats a pending message) using the node's membership primitives and a
@@ -24,27 +24,18 @@ import (
 	"repro/internal/comm"
 )
 
-// mail is one routed frame: the sender's rank and a copy of the payload
-// with the job envelope stripped. release returns the buffer to the pool.
+// mail is one routed frame: the sender's rank and the payload with the job
+// envelope stripped, still in the transport's receive buffer. release
+// returns that buffer to the receive pool.
 type mail struct {
 	from    int
 	payload []byte
 	holder  *[]byte
 }
 
-var mailPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func newMail(from int, payload []byte) mail {
-	h := mailPool.Get().(*[]byte)
-	*h = append((*h)[:0], payload...)
-	return mail{from: from, payload: *h, holder: h}
-}
-
 func (m *mail) release() {
-	if m.holder != nil {
-		mailPool.Put(m.holder)
-		m.holder = nil
-	}
+	cluster.ReleaseWireBuf(m.holder)
+	m.holder = nil
 }
 
 // jobMailbox is the per-job delivery queue on one server.
@@ -90,7 +81,7 @@ func newFrameRouter(n *cluster.Node, boxCap int, onFatal func(error)) *frameRout
 func (r *frameRouter) run() {
 	defer close(r.done)
 	for {
-		err := r.node.RecvStreamWhile(nil, r.route)
+		err := r.node.RecvStreamOwned(nil, r.route)
 		switch {
 		case err == nil:
 			continue
@@ -123,17 +114,19 @@ func (r *frameRouter) run() {
 	}
 }
 
-// route handles one inbox frame: decode the job envelope, copy the inner
-// frame, and deliver. Frames for unregistered jobs wait in the pending
+// route handles one inbox frame: decode the job envelope and deliver the
+// inner frame, which keeps the transport's buffer until the runner is done
+// with it. Frames for unregistered jobs wait in the pending
 // buffer (a Submit's fan-out can reach a fast peer before the local runner
 // spawns — at most a step of traffic, since peers then block on counted
 // receives); frames for retired jobs are stale duplicates and are dropped.
-func (r *frameRouter) route(from int, frame []byte) (bool, error) {
+func (r *frameRouter) route(from int, frame []byte, holder *[]byte) (bool, error) {
 	job, inner, err := comm.DecodeJobFrame(frame)
 	if err != nil {
+		cluster.ReleaseWireBuf(holder)
 		return false, fmt.Errorf("server %d: frame from %d: %w", r.node.ID(), from, err)
 	}
-	m := newMail(from, inner)
+	m := mail{from: from, payload: inner, holder: holder}
 	r.mu.Lock()
 	if box, ok := r.boxes[job]; ok {
 		r.mu.Unlock()
@@ -209,8 +202,11 @@ func (r *frameRouter) halt() {
 // racing cancel, stall, or router exit; a membership change beats a
 // delivered frame; frames from since-dead senders are filtered. The stall
 // timer is runner-local — it measures gaps in *this job's* traffic, so one
-// job's quiet phase never accuses peers on another job's behalf.
-func (s *server) recvMail(ctx context.Context, fn func(from int, payload []byte) (bool, error)) error {
+// job's quiet phase never accuses peers on another job's behalf. The frame
+// is released back to the receive pool after fn returns; fn keeps the
+// payload past that only by clearing m.holder, which detaches the buffer
+// from the pool.
+func (s *server) recvMail(ctx context.Context, fn func(m *mail) (bool, error)) error {
 	n := s.node
 	var cancel <-chan struct{}
 	if ctx != nil {
@@ -224,6 +220,7 @@ func (s *server) recvMail(ctx context.Context, fn func(from int, payload []byte)
 		defer timer.Stop()
 		stall = timer.C
 	}
+	var m mail // one per call: fn receives its address
 	for {
 		// Same ordering as the inbox: load the interrupt channel before the
 		// staleness check, so a declaration landing in between either fails
@@ -234,7 +231,6 @@ func (s *server) recvMail(ctx context.Context, fn func(from int, payload []byte)
 		if n.MembershipStaleAt(s.ackedEpoch) {
 			return cluster.ErrMembershipChanged
 		}
-		var m mail
 		select {
 		case m = <-s.mailbox.ch:
 		case <-membCh:
@@ -271,7 +267,7 @@ func (s *server) recvMail(ctx context.Context, fn func(from int, payload []byte)
 			}
 			timer.Reset(gap)
 		}
-		done, err := fn(m.from, m.payload)
+		done, err := fn(&m)
 		m.release()
 		if err != nil {
 			return err

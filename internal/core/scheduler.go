@@ -1,9 +1,9 @@
 package core
 
-// Multi-tenant job scheduling (see docs/ARCHITECTURE.md, "Multi-tenant
-// scheduling"). A session opened with Config.MaxConcurrentJobs > 1 admits up
-// to that many Submits into the cluster at once and interleaves their BSP
-// loops. Two mechanisms implement the policy:
+// Job scheduling (see docs/ARCHITECTURE.md, "Job execution"). A session
+// has max(1, Config.MaxConcurrentJobs) run slots: it admits up to that many
+// Submits into the cluster at once and interleaves their BSP loops. Two
+// mechanisms implement the policy:
 //
 //   - jobScheduler, the session-level admission controller: a fixed set of
 //     run slots plus a bounded wait-queue ordered by weighted virtual time
@@ -33,7 +33,7 @@ import (
 )
 
 // ErrJobQueueFull is returned by Submit when the session's admission queue
-// is at capacity: MaxConcurrentJobs jobs are running and
+// is at capacity: every run slot is taken and
 // costmodel.JobQueueBound (or Config.MaxQueuedJobs) Submits are already
 // waiting. The caller sheds load or retries later; nothing was enqueued.
 var ErrJobQueueFull = errors.New("core: job admission queue full")

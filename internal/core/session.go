@@ -68,11 +68,12 @@ type JobOptions struct {
 	// for this job, a positive value checkpoints every that-many
 	// supersteps. Requires All-in-All replication, like the Config knob.
 	CheckpointEvery int
-	// Weight is this job's weighted-round-robin share in a multi-tenant
-	// session (Config.MaxConcurrentJobs > 1): at contended superstep edges
-	// a weight-2 job is serviced twice as often as a weight-1 job, and
-	// within the admission queue heavier jobs overtake lighter ones. 0 or
-	// negative means 1. Ignored by serial sessions.
+	// Weight is this job's weighted-round-robin share: at contended
+	// superstep edges a weight-2 job is serviced twice as often as a
+	// weight-1 job, and within the admission queue heavier jobs overtake
+	// lighter ones. 0 or negative means 1. It only matters when jobs
+	// contend, so a one-slot session (MaxConcurrentJobs ≤ 1) only uses it
+	// to order its admission queue.
 	Weight int
 }
 
@@ -115,9 +116,8 @@ type job struct {
 	progress  func(StepStats)
 	ckptEvery int
 
-	// Multi-tenant identity, zero in serial sessions: the session-unique
-	// wire/barrier/checkpoint tag, the admission slot (share-window bit),
-	// and the WRR weight.
+	// The session-unique wire/barrier/checkpoint tag, the admission slot
+	// (share-window bit, runner index), and the WRR weight.
 	id     uint32
 	slot   int
 	weight int
@@ -174,11 +174,12 @@ func (g *jobGroup) wait() { <-g.done }
 // degree context, and a warm edge cache across any number of submitted
 // jobs. Open boots it, Submit runs one program, Close tears it down.
 //
-// Submit and Close serialize against each other; concurrent calls are
-// safe. In a classic session jobs run one at a time (the BSP loop owns the
-// whole cluster); with Config.MaxConcurrentJobs > 1 up to that many jobs
-// run interleaved, each on its own vertex-state arena and job-tagged
-// wire/barrier traffic, sharing tile loads through the share window.
+// Submit, Join and Close are safe for concurrent use. Every session has
+// max(1, Config.MaxConcurrentJobs) run slots: up to that many jobs run
+// interleaved, each on its slot's runner (vertex-state arena, scratch and
+// per-tile buffers, reused job after job) with job-tagged wire, barrier
+// and checkpoint traffic, sharing tile loads through the share window.
+// Further Submits wait in a bounded admission queue.
 type Session struct {
 	cfg      Config
 	graph    *Graph
@@ -190,11 +191,10 @@ type Session struct {
 	jobChs  []chan *job
 	runDone chan error
 
-	// Multi-tenant machinery (Config.MaxConcurrentJobs > 1): the admission
-	// controller, the per-server shared plumbing, and the monotonically
-	// increasing job-ID source. submitWG tracks in-flight Submits so Close
-	// can wait for their fan-outs before closing the job channels.
-	multi    bool
+	// The admission controller, the per-server shared plumbing, and the
+	// monotonically increasing job-ID source. submitWG tracks in-flight
+	// Submits so Close can wait for their fan-outs before closing the job
+	// channels.
 	sched    *jobScheduler
 	shared   []*nodeShared
 	nextJob  uint32
@@ -214,35 +214,23 @@ type Session struct {
 	joinBlock atomic.Int32
 	routerCap int
 
+	// mu guards closed, dead and nextJob; nobody holds it across a job.
 	mu     sync.Mutex
 	closed bool
 	dead   error // first hard error; the cluster is gone
-
-	// closedFlag and deadFlag mirror closed/dead for lock-free readers —
-	// the join controller cannot take se.mu, which the serial Submit holds
-	// across a whole job (liveState).
-	closedFlag atomic.Bool
-	deadFlag   atomic.Pointer[error]
 }
 
-// markDeadLocked records the session's first hard error (caller holds
-// se.mu) and mirrors it into the lock-free flag the join controller reads.
-func (se *Session) markDeadLocked(err error) {
-	if se.dead == nil {
-		se.dead = err
-		se.deadFlag.Store(&err)
+// liveErr reports why the session can take no more work: ErrSessionClosed
+// after Close (wrapped with op), a sessionDeadError after a hard error, nil
+// while it is healthy. Caller holds se.mu.
+func (se *Session) liveErr(op string) error {
+	if se.closed {
+		return fmt.Errorf("core: %s: %w", op, ErrSessionClosed)
 	}
-}
-
-// liveState is the lock-free closed/dead snapshot for the join controller,
-// which must not take se.mu: the serial Submit holds it across a whole job,
-// and the runner executing that job may be parked at its step edge waiting
-// on the very handshake that needs the snapshot.
-func (se *Session) liveState() (closed bool, dead error) {
-	if p := se.deadFlag.Load(); p != nil {
-		dead = *p
+	if se.dead != nil {
+		return &sessionDeadError{cause: se.dead}
 	}
-	return se.closedFlag.Load(), dead
+	return nil
 }
 
 // Open boots a session: it spins up the simulated cluster, assigns and
@@ -317,7 +305,6 @@ func Open(in Input, cfg Config) (*Session, error) {
 		}
 	}
 
-	multi := cfg.MaxConcurrentJobs > 1
 	se := &Session{
 		cfg:       cfg,
 		graph:     g,
@@ -326,36 +313,30 @@ func Open(in Input, cfg Config) (*Session, error) {
 		ownWork:   ownWork,
 		jobChs:    make([]chan *job, cfg.NumServers),
 		runDone:   make(chan error, 1),
-		multi:     multi,
-		nextJob:   1, // 0 stays "no job": serial frames carry no envelope
+		sched:     newJobScheduler(cfg.MaxConcurrentJobs, cfg.MaxQueuedJobs),
+		nextJob:   1,
 		shared:    make([]*nodeShared, cfg.NumServers),
 		servers:   make([]*server, cfg.NumServers),
 		inflight:  make(map[*job]struct{}),
 		routerCap: 2*numTiles + 64,
 	}
-	if multi {
-		se.sched = newJobScheduler(cfg.MaxConcurrentJobs, cfg.MaxQueuedJobs)
-	}
 	for i := range se.shared {
-		ns := &nodeShared{joinBlock: &se.joinBlock, admit: se.admitJoin}
-		if multi {
-			ns.gate = newStepGate()
-			ns.share = cache.NewShareWindow(0) // sized in bytes once setup has run
-			ns.sched = se.sched
+		se.shared[i] = &nodeShared{
+			joinBlock: &se.joinBlock,
+			admit:     se.admitJoin,
+			gate:      newStepGate(),
+			share:     cache.NewShareWindow(0), // sized in bytes once setup has run
+			sched:     se.sched,
+			runners:   make([]*server, cfg.MaxConcurrentJobs),
 		}
-		se.shared[i] = ns
 	}
 	// Scripted rejoins run the same controller-side protocol as Session.Join.
 	faults.setOnRejoin(se.scriptedRejoin)
 	for i := range se.jobChs {
-		if multi {
-			// Buffered to the admission level: a Submit's fan-out must not
-			// block behind another job's runners — at most MaxConcurrentJobs
-			// jobs hold slots, so the buffer absorbs every admitted fan-out.
-			se.jobChs[i] = make(chan *job, cfg.MaxConcurrentJobs)
-		} else {
-			se.jobChs[i] = make(chan *job)
-		}
+		// Buffered to the admission level: a Submit's fan-out must not block
+		// behind another job's runners — at most MaxConcurrentJobs jobs hold
+		// slots, so the buffer absorbs every admitted fan-out.
+		se.jobChs[i] = make(chan *job, cfg.MaxConcurrentJobs)
 	}
 
 	type setupRes struct {
@@ -387,17 +368,15 @@ func Open(in Input, cfg Config) (*Session, error) {
 				shared:    se.shared[n.ID()],
 			}
 			se.servers[n.ID()] = sv
-			if multi {
-				// The frame router owns this node's inbox for the whole
-				// session: runners only ever see their own job's mailbox. The
-				// mailbox bound covers a full superstep of traffic (one frame
-				// per tile per live peer ≤ 2×tiles for practical clusters)
-				// plus recovery markers and slack, so routing never blocks on
-				// a lagging runner in the common case.
-				r := newFrameRouter(n, se.routerCap, se.noteFatal)
-				sv.shared.router.Store(r)
-				go r.run()
-			}
+			// The frame router owns this node's inbox for the whole session:
+			// runners only ever see their own job's mailbox. The mailbox bound
+			// covers a full superstep of traffic (one frame per tile per live
+			// peer ≤ 2×tiles for practical clusters) plus recovery markers
+			// and slack, so routing never blocks on a lagging runner in the
+			// common case.
+			r := newFrameRouter(n, se.routerCap, se.noteFatal)
+			sv.shared.router.Store(r)
+			go r.run()
 			defer func() {
 				if sv.pf != nil {
 					sv.pf.close() // join the reader workers before the store goes
@@ -415,43 +394,26 @@ func Open(in Input, cfg Config) (*Session, error) {
 			// The fetch closure (and any tile encodings it retains) is only
 			// needed during setup; drop it so the session doesn't pin it.
 			sv.fetch = nil
-			if multi {
-				sv.shared.share.SetCapacity(costmodel.ShareWindowBytes(
-					cfg.MaxConcurrentJobs, cfg.WorkersPerServer, sv.cache.Capacity(), sv.maxTileBytes()))
-			}
-			if !multi {
-				for jb := range se.jobChs[n.ID()] {
-					sv.shared.quiesceEnter()
-					fatal := sv.runJob(jb)
-					sv.shared.quiesceExit()
-					jb.grp.doneOne()
-					if fatal != nil {
-						return fatal
-					}
-				}
-				return nil
-			}
-			// Multi-tenant: one runner goroutine per admitted job, each a
-			// clone of this server sharing its store/cache/metas. A fatal
-			// error cannot return from here mid-stream (other runners are
-			// still flying); it aborts the cluster via noteFatal instead,
-			// which unwinds every runner exactly as a node error would.
+			sv.shared.share.SetCapacity(costmodel.ShareWindowBytes(
+				cfg.MaxConcurrentJobs, cfg.WorkersPerServer, sv.cache.Capacity(), sv.maxTileBytes()))
+			// One goroutine per admitted job, on the runner of the job's
+			// slot. A fatal error cannot return from here mid-stream (other
+			// runners may still be flying); it aborts the cluster via
+			// noteFatal instead, which unwinds every runner exactly as a node
+			// error would.
 			var runners sync.WaitGroup
 			for jb := range se.jobChs[n.ID()] {
 				runners.Add(1)
 				go func(jb *job) {
 					defer runners.Done()
-					r := sv.jobRunner(jb)
-					if fatal := r.runJob(jb); fatal != nil {
+					if fatal := sv.slotRunner(jb.slot).runJob(jb, false); fatal != nil {
 						se.noteFatal(fatal)
 					}
 					jb.grp.doneOne()
 				}(jb)
 			}
 			runners.Wait()
-			if rt := sv.shared.router.Load(); rt != nil {
-				rt.halt()
-			}
+			sv.shared.router.Load().halt()
 			return nil
 		})
 	}()
@@ -487,11 +449,13 @@ func Open(in Input, cfg Config) (*Session, error) {
 }
 
 // Submit runs one program over the session's warm cluster and returns its
-// result. Tiles are not re-partitioned or re-persisted: the job reuses the
-// local stores and edge caches exactly as the previous job left them (tile
-// placement included — the rebalancer's migrations carry over), while
-// vertex values, halt votes, per-job statistics and send queues start
-// fresh.
+// result. It first waits for a run slot: with every slot busy it parks in
+// the admission queue, and with the queue full too it fails fast with
+// ErrJobQueueFull. Tiles are not re-partitioned or re-persisted: the job
+// reuses the local stores and edge caches exactly as the previous job left
+// them (tile placement included — the rebalancer's migrations carry over),
+// while vertex values, halt votes, per-job statistics and send queues
+// start fresh.
 //
 // Cancelling ctx aborts the job at the next superstep edge: Submit returns
 // ctx.Err() and the session remains usable for further Submits. A hard
@@ -504,70 +468,10 @@ func (se *Session) Submit(ctx context.Context, prog Program, opts JobOptions) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if se.multi {
-		return se.submitMulti(ctx, prog, opts)
-	}
 	se.mu.Lock()
-	defer se.mu.Unlock()
-	if se.closed {
-		return nil, fmt.Errorf("core: Submit: %w", ErrSessionClosed)
-	}
-	if se.dead != nil {
-		return nil, &sessionDeadError{cause: se.dead}
-	}
-	if err := ctx.Err(); err != nil {
-		// Fail fast instead of running one full superstep only for the
-		// first barrier vote to throw it away. Checked after the lock so a
-		// Submit cancelled while queued behind another job is also caught.
-		return nil, err
-	}
-	jb, err := se.makeJob(ctx, prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	se.registerJob(jb)
-	for _, ch := range se.jobChs {
-		ch <- jb
-	}
-	jb.grp.wait()
-	se.unregisterJob(jb)
-
-	if err := cluster.FirstNodeError(jb.errs); err != nil {
-		se.markDeadLocked(err)
-		return nil, err
-	}
-	for _, cerr := range jb.cancels {
-		if cerr != nil {
-			return nil, cerr
-		}
-	}
-	deadServers := se.deadServers()
-	if len(deadServers) == se.cfg.NumServers {
-		// Every server died (scripted kills can do that). There is no
-		// survivor to have filled the result, and no membership left to run
-		// another job on.
-		err := fmt.Errorf("core: all %d servers died during the job", se.cfg.NumServers)
-		se.markDeadLocked(err)
-		return nil, err
-	}
-	return se.assembleResult(jb, deadServers), nil
-}
-
-// submitMulti is Submit's multi-tenant path. Unlike the serial path it does
-// not hold the session lock across the run — that is the point: concurrent
-// Submits admit through the scheduler (blocking in its bounded queue when
-// MaxConcurrentJobs jobs are already running), fan out to the per-server
-// runner loops, and interleave superstep-by-superstep under the WRR gates.
-func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOptions) (*Result, error) {
-	se.mu.Lock()
-	if se.closed {
+	if err := se.liveErr("Submit"); err != nil {
 		se.mu.Unlock()
-		return nil, fmt.Errorf("core: Submit: %w", ErrSessionClosed)
-	}
-	if se.dead != nil {
-		d := se.dead
-		se.mu.Unlock()
-		return nil, &sessionDeadError{cause: d}
+		return nil, err
 	}
 	se.submitWG.Add(1)
 	se.mu.Unlock()
@@ -578,10 +482,6 @@ func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOption
 	jb, err := se.makeJob(ctx, prog, opts)
 	if err != nil {
 		return nil, err
-	}
-	jb.weight = opts.Weight
-	if jb.weight <= 0 {
-		jb.weight = 1
 	}
 	// The job's identity exists from birth — before admission — so every
 	// abandon path below can release whatever cluster-side residue the ID
@@ -595,27 +495,21 @@ func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOption
 	// unwind on ctx cancellation while queued).
 	slot, err := se.sched.admit(ctx, jb.weight)
 	if err != nil {
-		// Cancelled (or bounced) while queued: the job never ran, but its
-		// barrier entry may exist; drop it rather than leak it.
 		se.cl.ReleaseJobBarrier(jb.id)
 		return nil, err
 	}
 	defer se.sched.release(slot)
 	jb.slot = slot
 
+	// The session may have died (or closed) while this Submit waited in the
+	// admission queue; the runner loops may be gone — do not fan out.
 	se.mu.Lock()
-	if se.closed || se.dead != nil {
-		// The session died (or closed) while this Submit waited in the
-		// admission queue; the runner loops may be gone — do not fan out.
-		dead := se.dead
-		se.mu.Unlock()
-		se.cl.ReleaseJobBarrier(jb.id)
-		if dead != nil {
-			return nil, &sessionDeadError{cause: dead}
-		}
-		return nil, fmt.Errorf("core: Submit: %w", ErrSessionClosed)
-	}
+	err = se.liveErr("Submit")
 	se.mu.Unlock()
+	if err != nil {
+		se.cl.ReleaseJobBarrier(jb.id)
+		return nil, err
+	}
 
 	se.registerJob(jb)
 	for _, ch := range se.jobChs {
@@ -636,10 +530,11 @@ func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOption
 	}
 	deadServers := se.deadServers()
 	if len(deadServers) == se.cfg.NumServers {
+		// Every server died (scripted kills can do that). There is no
+		// survivor to have filled the result, and no membership left to run
+		// another job on.
 		err := fmt.Errorf("core: all %d servers died during the job", se.cfg.NumServers)
-		se.mu.Lock()
-		se.markDeadLocked(err)
-		se.mu.Unlock()
+		se.markDead(err)
 		return nil, err
 	}
 	return se.assembleResult(jb, deadServers), nil
@@ -669,6 +564,10 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 	if ckptEvery > 0 && se.cfg.Replication != AllInAll {
 		return nil, fmt.Errorf("core: CheckpointEvery requires All-in-All replication (recovery restores each survivor from its own full-vector checkpoint)")
 	}
+	weight := opts.Weight
+	if weight <= 0 {
+		weight = 1
+	}
 	return &job{
 		prog:      prog,
 		ctx:       ctx,
@@ -677,6 +576,7 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 		codec:     codec,
 		progress:  opts.Progress,
 		ckptEvery: ckptEvery,
+		weight:    weight,
 		res: &Result{
 			Values:  make([]float64, se.graph.NumVertices),
 			Servers: make([]ServerStats, se.cfg.NumServers),
@@ -770,7 +670,7 @@ func (se *Session) assembleResult(jb *job, deadServers []int) *Result {
 	return res
 }
 
-// retireJob tears down a finished job's multi-tenant residue after every
+// retireJob tears down a finished job's residue after every
 // runner has passed its final barrier: the cluster's job barrier, each
 // server's mailbox (later frames are in-flight duplicates), its unconsumed
 // share-window offers, and any stale WRR gate entry a dying runner left.
@@ -795,15 +695,22 @@ func (se *Session) JobBarrierCount() int {
 
 // noteFatal records the session's first hard error and aborts the cluster
 // so every other in-flight job's blocked barriers and receives unwind —
-// the multi-tenant equivalent of a node error inside cluster.Run.
+// the equivalent of a node error inside cluster.Run.
 func (se *Session) noteFatal(err error) {
 	if err == nil {
 		return
 	}
-	se.mu.Lock()
-	se.markDeadLocked(err)
-	se.mu.Unlock()
+	se.markDead(err)
 	se.cl.Abort()
+}
+
+// markDead records the session's first hard error.
+func (se *Session) markDead(err error) {
+	se.mu.Lock()
+	if se.dead == nil {
+		se.dead = err
+	}
+	se.mu.Unlock()
 }
 
 // Close shuts the session down: the per-server job loops exit, the cluster
@@ -816,12 +723,10 @@ func (se *Session) Close() error {
 		return nil
 	}
 	se.closed = true
-	se.closedFlag.Store(true)
 	dead := se.dead
 	se.mu.Unlock()
 
-	// Multi-tenant: wait out the in-flight Submits before closing the job
-	// channels — their fan-outs must not race the close. A Submit parked in
+	// Wait out the in-flight Submits before closing the job channels — their fan-outs must not race the close. A Submit parked in
 	// the admission queue holds Close here until its context is cancelled
 	// or its turn comes and it observes the closed flag.
 	se.submitWG.Wait()

@@ -126,9 +126,10 @@ type ServerStats struct {
 	// cluster from a stable one even when deaths and joins cancel out.
 	Joins           int    `json:"joins"`
 	MembershipEpoch uint64 `json:"membership_epoch"`
-	// SharedTileLoads counts tiles this job took from the multi-tenant
-	// share window instead of reading from disk — each one is a disk read a
-	// concurrent job paid on this job's behalf. Always 0 in serial sessions.
+	// SharedTileLoads counts tiles this job took from the cross-job share
+	// window instead of reading from disk — each one is a disk read a
+	// concurrent job paid on this job's behalf. Always 0 in one-slot
+	// sessions.
 	SharedTileLoads int64 `json:"shared_tile_loads"`
 }
 

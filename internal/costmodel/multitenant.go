@@ -12,9 +12,9 @@ package costmodel
 // the share window are bitmask slots in a uint64.
 const MaxJobSlots = 64
 
-// ClampConcurrency normalizes a requested concurrency level: values below 2
-// mean the serial session (one job owns the cluster), and the level never
-// exceeds MaxJobSlots.
+// ClampConcurrency normalizes a requested concurrency level to a run-slot
+// count: values below 2 mean one slot (one job owns the cluster at a time),
+// and the level never exceeds MaxJobSlots.
 func ClampConcurrency(n int) int {
 	if n < 2 {
 		return 1
@@ -47,7 +47,7 @@ func JobQueueBound(maxRun int) int {
 // more than a window behind re-reads from disk anyway and self-aligns with
 // the leader through the free hits. The window never drops below one tile
 // (of tileBytes) per worker per job, so sharing survives on servers with
-// no cache budget at all; serial sessions get no window.
+// no cache budget at all; one-slot sessions get no window.
 func ShareWindowBytes(jobs, workersPerServer int, capacityBytes, tileBytes int64) int64 {
 	if jobs < 2 {
 		return 0
